@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -47,7 +48,7 @@ func runFig1(int) {
 
 	t := newTable("query (paper §)", "surface syntax", "answer")
 	ask := func(section, q string) {
-		res, err := db.Query(q)
+		res, err := execQuery(db, q)
 		if err != nil {
 			panic(err)
 		}
@@ -64,6 +65,16 @@ func runFig1(int) {
 	fixed := unql.RelabelWhere(g, pathexpr.ExactPred{L: ssd.Str("Bacal")}, ssd.Str("Bacall"))
 	ok := bisim.Equal(fixed, workload.Fig1(false))
 	fmt.Printf("\n  §3 UnQL restructuring: relabel \"Bacal\"→\"Bacall\" reproduces corrected figure: %v\n", ok)
+}
+
+// execQuery prepares a select-from-where query and runs it to its result
+// database.
+func execQuery(db *core.Database, src string) (*core.Database, error) {
+	s, err := db.Prepare(src)
+	if err != nil {
+		return nil, err
+	}
+	return s.Exec(context.Background())
 }
 
 func oneLine(s string) string {

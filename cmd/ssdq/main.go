@@ -6,7 +6,6 @@
 //
 //	ssdq -db file.ssd stats
 //	ssdq -db file.ssd query  'select T from DB.Entry.Movie.Title T'
-//	ssdq -db file.ssd -engine naive query 'select T from DB.Entry.Movie.Title T'
 //	ssdq -db file.ssd explain 'select T from DB.Entry.Movie.Title T'
 //	ssdq -db file.ssd prepare 'select T from DB.Entry.$kind.Title T'
 //	ssdq -db file.ssd -param kind=Movie run 'select T from DB.Entry.$kind.Title T'
@@ -20,12 +19,12 @@
 //	ssdq -db file.ssd schema
 //	ssdq -db file.ssd fmt
 //	ssdq -db in.ssd convert -o out.ssdg   (formats: .ssd text, .ssdg binary, .oem)
-//	ssdq -db file.ssdg -wal file.wal mutate 'addnode; addedge 0 Tag $0'
-//	ssdq -db file.ssdg -wal file.wal mutate script.mut   (load statements from a file)
+//	ssdq -db file.ssd -o out.ssdg mutate 'addnode; addedge 0 Tag $0'   (in memory, then saved)
 //	ssdq -db file.ssd save dbdir          # export as a durable directory
 //	ssdq open dbdir                       # recover it and report what that took
 //	ssdq -data dbdir query '...'          # any command against a durable directory
 //	ssdq -data dbdir mutate 'addnode; addedge 0 Tag $0'   # WAL-logged commit
+//	ssdq -data dbdir mutate script.mut    # load statements from a file
 //	ssdq -data dbdir checkpoint           # fold the WAL into a new generation
 //	ssdq demo            # run the Figure 1 tour without a database file
 //
@@ -34,16 +33,12 @@
 // statement: -param name=value (repeatable) binds parameters — values
 // parse as label literals (symbol, "string", number, true/false). Query
 // and path statements stream their rows; transform statements print the
-// restructured database. -engine naive runs the substitution-based naive
-// evaluator with identical parameter semantics.
+// restructured database.
 //
-// The mutate command applies a mutation script (see internal/mutate's
-// ParseScript for the statement forms) as one atomic batch. -wal attaches a
-// write-ahead log for ANY command: batches already in the log are replayed
-// before the command runs (so `-db base.ssdg -wal base.wal` always names
-// the current state, for queries as much as for mutations), and mutate
-// appends its batch to the log before applying it. With -o the mutated
-// database is also saved.
+// The mutate command commits a mutation script (see internal/mutate's
+// ParseScript for the statement forms) as one atomic batch and prints its
+// commit sequence number. With -data the batch is logged to the directory's
+// WAL before it is published; with -o the mutated database is also saved.
 //
 // Durable directories: `save <dir>` exports the loaded database as the
 // first snapshot generation of a durable directory; -data <dir> runs any
@@ -66,8 +61,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/mutate"
-	"repro/internal/query"
+	"repro/internal/datalog"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
@@ -99,8 +93,6 @@ func main() {
 		depth   = flag.Int("depth", 3, "browse: maximum path depth")
 		limit   = flag.Int("limit", 40, "browse: maximum paths listed")
 		out     = flag.String("o", "", "convert/mutate: output file (.ssd or .ssdg)")
-		wal     = flag.String("wal", "", "mutate: write-ahead log file (replayed on open, appended on commit)")
-		engine  = flag.String("engine", "planned", "query/run: evaluation engine (planned|naive)")
 		explain = flag.Bool("explain", false, "query: print the chosen plan before the result")
 		analyze = flag.Bool("analyze", false, "explain: execute the query and annotate the plan with actual row counts")
 		trace   = flag.Bool("trace", false, "run: stream the rows, then print the per-operator execution trace as JSON on stderr")
@@ -131,9 +123,6 @@ func main() {
 	var err error
 	switch {
 	case *dataDir != "":
-		if *wal != "" {
-			fatal(fmt.Errorf("-wal conflicts with -data: the directory has its own log"))
-		}
 		if *dbPath != "" {
 			fatal(fmt.Errorf("-db conflicts with -data: the directory is the database (use `ssdq -db file save <dir>` to seed one)"))
 		}
@@ -148,15 +137,6 @@ func main() {
 		if db, err = load(*dbPath); err != nil {
 			fatal(err)
 		}
-		if *wal != "" {
-			// Replay the log for every command, not just mutate: with a WAL
-			// the current state is snapshot + log, and querying the bare
-			// snapshot would silently serve stale data.
-			if err := db.OpenWAL(*wal); err != nil {
-				fatal(err)
-			}
-			defer db.CloseWAL()
-		}
 	}
 
 	switch cmd {
@@ -166,21 +146,14 @@ func main() {
 		fmt.Println(db.Format())
 	case "query":
 		src := arg(rest, "query")
-		eng, err := parseEngine(*engine)
-		if err != nil {
-			fatal(err)
-		}
 		if *explain {
 			plan, err := db.Explain(src)
 			if err != nil {
 				fatal(err)
 			}
-			if eng == query.EngineNaive {
-				fmt.Println("-- plan shown for reference; -engine naive runs the tree-walking evaluator instead")
-			}
 			fmt.Print(plan)
 		}
-		res, err := db.QueryEngine(src, eng)
+		res, err := execQuery(db, src)
 		if err != nil {
 			fatal(err)
 		}
@@ -215,15 +188,11 @@ func main() {
 		}
 		fmt.Print(plan)
 	case "run":
-		eng, err := parseEngine(*engine)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runStmt(db, arg(rest, "run"), params, eng, *limit, *trace); err != nil {
+		if err := runStmt(db, arg(rest, "run"), params, *limit, *trace); err != nil {
 			fatal(err)
 		}
 	case "path":
-		nodes, err := db.PathQuery(arg(rest, "path"))
+		nodes, err := pathNodes(db, arg(rest, "path"))
 		if err != nil {
 			fatal(err)
 		}
@@ -236,20 +205,16 @@ func main() {
 			fmt.Printf("node %d: %s\n", n, clip(ssd.Format(db.Graph(), n), 100))
 		}
 	case "datalog":
-		rels, err := db.Datalog(arg(rest, "datalog"))
+		names, tuples, err := datalogTuples(db, arg(rest, "datalog"))
 		if err != nil {
 			fatal(err)
 		}
-		names := make([]string, 0, len(rels))
-		for name := range rels {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		for _, name := range names {
-			fmt.Printf("%s: %d tuples\n", name, rels[name].Len())
-			for i, t := range rels[name].Tuples() {
+			ts := tuples[name]
+			fmt.Printf("%s: %d tuples\n", name, len(ts))
+			for i, t := range ts {
 				if i >= *limit {
-					fmt.Printf("  ... (%d more)\n", rels[name].Len()-i)
+					fmt.Printf("  ... (%d more)\n", len(ts)-i)
 					break
 				}
 				fmt.Printf("  %s\n", t)
@@ -314,15 +279,71 @@ func arg(rest []string, cmd string) string {
 	return rest[0]
 }
 
-func parseEngine(s string) (query.Engine, error) {
-	switch s {
-	case "planned":
-		return query.EnginePlanned, nil
-	case "naive":
-		return query.EngineNaive, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want planned or naive)", s)
+// execQuery prepares src, insists it is a select-from-where query, and
+// executes it to its result database.
+func execQuery(db *core.Database, src string) (*core.Database, error) {
+	s, err := db.Prepare(src)
+	if err != nil {
+		return nil, err
 	}
+	if s.Lang() != core.LangQuery {
+		return nil, fmt.Errorf("%q is a %s statement, not a query; use run", src, s.Lang())
+	}
+	return s.Exec(context.Background())
+}
+
+// pathNodes evaluates a regular path expression from the root and returns
+// the matching nodes, sorted.
+func pathNodes(db *core.Database, src string) ([]ssd.NodeID, error) {
+	s, err := db.Prepare("path: " + src)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := s.Query(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	var out []ssd.NodeID
+	for rows.Next() {
+		var n ssd.NodeID
+		if err := rows.Scan(&n); err != nil {
+			return nil, err
+		}
+		out = append(out, n)
+	}
+	if err := rows.Err(); err != nil {
+		return nil, err
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out, nil
+}
+
+// datalogTuples runs a datalog program and groups its IDB tuples by
+// relation; names lists the relations that derived tuples, sorted.
+func datalogTuples(db *core.Database, src string) (names []string, tuples map[string][]datalog.Tuple, err error) {
+	s, err := db.Prepare("datalog: " + src)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, err := s.Query(context.Background())
+	if err != nil {
+		return nil, nil, err
+	}
+	defer rows.Close()
+	tuples = map[string][]datalog.Tuple{}
+	for rows.Next() {
+		var rel string
+		var t datalog.Tuple
+		if err := rows.Scan(&rel, &t); err != nil {
+			return nil, nil, err
+		}
+		if _, seen := tuples[rel]; !seen {
+			names = append(names, rel) // rows arrive grouped, relations sorted
+		}
+		tuples[rel] = append(tuples[rel], t)
+	}
+	return names, tuples, rows.Err()
 }
 
 func load(path string) (*core.Database, error) {
@@ -354,22 +375,18 @@ func save(db *core.Database, path string) error {
 	}
 }
 
-// runMutate applies one mutation script as an atomic batch — through the
-// WAL when -wal is given (main opened it) — and optionally saves the
-// result.
+// runMutate commits one mutation script as an atomic batch — logged to the
+// directory's WAL under -data — and optionally saves the result.
 func runMutate(db *core.Database, script, outPath string) error {
 	// The argument is either inline statements or a script file.
 	if data, err := os.ReadFile(script); err == nil {
 		script = string(data)
 	}
-	b, err := mutate.ParseScript(script, db.Graph())
+	seq, err := db.MutateScriptSeq(script)
 	if err != nil {
 		return err
 	}
-	if err := db.Commit(b); err != nil {
-		return err
-	}
-	fmt.Printf("applied %d records: %s\n", b.Len(), db.Describe())
+	fmt.Printf("committed seq %d: %s\n", seq, db.Describe())
 	if outPath != "" {
 		if err := save(db, outPath); err != nil {
 			return err
@@ -381,11 +398,9 @@ func runMutate(db *core.Database, script, outPath string) error {
 
 // runStmt prepares and executes one statement with bound parameters.
 // Query statements print the result database (streaming the rows would
-// lose the select template); with -engine naive the substitution-based
-// evaluator runs instead — identical parameter semantics, no plan. Path
-// and datalog statements stream their rows; transforms print the
-// restructured database.
-func runStmt(db *core.Database, src string, params []core.Param, eng query.Engine, limit int, trace bool) error {
+// lose the select template). Path and datalog statements stream their
+// rows; transforms print the restructured database.
+func runStmt(db *core.Database, src string, params []core.Param, limit int, trace bool) error {
 	s, err := db.Prepare(src)
 	if err != nil {
 		return err
@@ -394,9 +409,6 @@ func runStmt(db *core.Database, src string, params []core.Param, eng query.Engin
 	if trace && s.Lang() != core.LangTransform {
 		// Tracing needs the streaming cursor, so select queries stream
 		// their rows here instead of materializing a result database.
-		if eng == query.EngineNaive {
-			fmt.Println("-- -trace runs the planned engine")
-		}
 		qtr := new(core.QueryTrace)
 		rows, err := s.QueryTraced(ctx, qtr, params...)
 		if err != nil {
@@ -414,29 +426,13 @@ func runStmt(db *core.Database, src string, params []core.Param, eng query.Engin
 		return nil
 	}
 	switch s.Lang() {
-	case core.LangQuery:
-		var res *core.Database
-		if eng == query.EngineNaive {
-			res, err = db.QueryEngineArgs(s.Source(), eng, params...)
-		} else {
-			res, err = s.Exec(ctx, params...)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Format())
-	case core.LangTransform:
+	case core.LangQuery, core.LangTransform:
 		res, err := s.Exec(ctx, params...)
 		if err != nil {
 			return err
 		}
 		fmt.Println(res.Format())
 	default: // path, datalog: stream rows
-		if eng == query.EngineNaive && s.Lang() == core.LangPath {
-			// The ablation engines only exist for the query language; path
-			// traversal has a single implementation.
-			fmt.Println("-- -engine naive has no effect on path statements")
-		}
 		rows, err := s.Query(ctx, params...)
 		if err != nil {
 			return err
@@ -524,7 +520,7 @@ func demo(db *core.Database) {
 	}
 	for _, s := range steps {
 		fmt.Printf("\n-- %s\n   %s\n", s.title, s.q)
-		res, err := db.Query(s.q)
+		res, err := execQuery(db, s.q)
 		if err != nil {
 			fatal(err)
 		}

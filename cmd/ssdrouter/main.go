@@ -35,8 +35,17 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/server"
+)
+
+// Connection timeouts: a client gets readHeaderTimeout to send its request
+// headers (a slow-header client cannot pin a connection), and an idle
+// keep-alive connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -70,7 +79,14 @@ func main() {
 		Logger:         logger,
 	})
 	defer rt.Stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	// No WriteTimeout: proxied /query responses stream for as long as the
+	// backend's own request deadline allows.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           rt.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	go func() {
 		sig := make(chan os.Signal, 1)

@@ -28,10 +28,12 @@
 //     (posting-list seeks), dataguide.ExtentCursor (guide-pruned extents),
 //     and ssd.Graph.In (cached reverse adjacency).
 //
-// The original recursive tree-walking evaluator is retained as
-// query.EvalNaive behind Options.Engine, cross-checked against the planned
-// engine on the whole query test suite and ablated by BenchmarkPlannedVsNaive
-// and `ssdbench -exp e12`.
+// The original recursive tree-walking evaluator is retained as the
+// reference query.EvalNaive — not an execution option: the planned engine
+// is cross-checked against it on the whole query test suite, and
+// BenchmarkPlannedVsNaive and `ssdbench -exp e12` ablate it. Every front-end
+// (select-from-where, path, datalog, UnQL transform) executes through one
+// entry point, core.Database.Prepare / PrepareCached.
 //
 // # Write path
 //
@@ -43,9 +45,11 @@
 // strong DataGuide for added edges and falls back to a rebuild only when a
 // delete touches the accessible region. internal/core publishes each version
 // as an MVCC snapshot behind an atomic pointer: readers keep querying the
-// snapshot they started with while Begin/Apply/Commit installs the next one
-// under a single-writer lock, and an optional write-ahead log
-// (core.Database.OpenWAL) makes commits durable and replayable. Ablated by
+// snapshot they started with while Begin/Commit (or MutateScriptSeq for a
+// text script) installs the next one under a single-writer lock; both
+// return the commit's replication position. A durable directory
+// (core.OpenPath) adds snapshot generations and a write-ahead log, which
+// make commits durable, replayable and replicable. Ablated by
 // BenchmarkIncrementalVsRebuild and `ssdbench -exp e13`.
 //
 // # Parallel execution and serving

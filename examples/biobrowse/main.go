@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -33,20 +34,13 @@ func main() {
 
 	// --- Values at arbitrary depth: conventional techniques cannot query
 	// trees of unknown depth; a regular path expression can.
-	deepInts, err := db.PathQuery("Object._*.(> 90000)")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nint values > 90000 at any depth: %d\n", len(deepInts))
+	deepInts := countRows(db, "path: Object._*.(> 90000)")
+	fmt.Printf("\nint values > 90000 at any depth: %d\n", deepInts)
 
 	// How deep do Gene chains nest?
 	for depth := 1; ; depth++ {
 		q := "Object." + strings.Repeat("_.", depth-1) + "Gene"
-		hits, err := db.PathQuery(q)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(hits) == 0 {
+		if countRows(db, "path: "+q) == 0 {
 			fmt.Printf("deepest Gene edge: depth %d\n", depth-1)
 			break
 		}
@@ -65,4 +59,25 @@ func main() {
 
 	wrong, _ := core.ParseText(`{Object: {Name: 42}}`)
 	fmt.Println("object with wrongly-typed Name conforms:", wrong.Conforms(s))
+}
+
+// countRows prepares src and returns how many rows its execution streams.
+func countRows(db *core.Database, src string) int {
+	s, err := db.Prepare(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows, err := s.Query(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		log.Fatal(err)
+	}
+	return n
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,15 +39,12 @@ func main() {
 
 	// One query spanning both sources: directors known to the relational
 	// warehouse who also directed something in the web data.
-	rows, err := db.QueryRows(`
+	rows := countRows(db, `
 		select D
 		from DB.warehouse.directors.tuple T, T.director D,
 		     DB.web.Entry.Movie M, M.Director W
 		where D = W`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("cross-source director joins: %d binding tuples\n", len(rows))
+	fmt.Printf("cross-source director joins: %d binding tuples\n", rows)
 
 	// Everything survives a round trip through the wire format.
 	tmp := "/tmp/integration.ssdg"
@@ -61,10 +59,7 @@ func main() {
 
 	// The structured part can go back to tables; the semistructured part
 	// cannot — the §5 boundary.
-	warehouse, err := back.Query(`select {movies: M, directors: D} from DB.warehouse.movies M, DB.warehouse.directors D`)
-	if err != nil {
-		log.Fatal(err)
-	}
+	warehouse := exec(back, `select {movies: M, directors: D} from DB.warehouse.movies M, DB.warehouse.directors D`)
 	tables, err := warehouse.ExportRelational()
 	if err != nil {
 		log.Fatal(err)
@@ -75,4 +70,39 @@ func main() {
 	if _, err := back.ExportRelational(); err != nil {
 		fmt.Println("whole merged graph does not export (expected):", err)
 	}
+}
+
+// countRows prepares src and returns how many rows its execution streams.
+func countRows(db *core.Database, src string) int {
+	s, err := db.Prepare(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows, err := s.Query(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		log.Fatal(err)
+	}
+	return n
+}
+
+// exec prepares a select-from-where query and runs it to its result
+// database.
+func exec(db *core.Database, src string) *core.Database {
+	s, err := db.Prepare(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := s.Exec(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,11 +61,8 @@ func main() {
 		log.Fatal(err)
 	}
 	remote := core.FromGraph(oem.ToGraph(back))
-	rows, err := remote.QueryRows(`select T from DB.root.movies.m.Title T`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("titles visible on the receiving side: %d\n", len(rows))
+	rows := countRows(remote, `select T from DB.root.movies.m.Title T`)
+	fmt.Printf("titles visible on the receiving side: %d\n", rows)
 }
 
 func oneLine(s string) string {
@@ -89,4 +87,25 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// countRows prepares src and returns how many rows its execution streams.
+func countRows(db *core.Database, src string) int {
+	s, err := db.Prepare(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows, err := s.Query(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		log.Fatal(err)
+	}
+	return n
 }

@@ -11,15 +11,19 @@
 //   - DataGuides, graph schemas, conformance and schema inference (§5),
 //   - value equality by bisimulation (§2),
 //   - versioned updates through the internal/mutate write path: batched
-//     mutations, an optional write-ahead log, and MVCC snapshots.
+//     mutations, durable directories (snapshot generations plus a
+//     write-ahead log, see OpenPath), replication, and MVCC snapshots.
+//
+// Every statement in the four query languages goes through Prepare (or the
+// cached PrepareCached); every commit goes through Commit or MutateScriptSeq
+// and returns its replication position.
 //
 // A Database is a multi-version handle: readers always see one immutable
 // published snapshot (graph plus its lazily built indexes and DataGuide),
-// while Begin/Apply/Commit install new snapshots atomically under a
-// single-writer lock. The legacy wholesale transformations (Transform,
-// RelabelWhere, …) still return fresh handles with fresh caches, so no
-// entry point can ever serve derived structures computed for a different
-// graph version.
+// while Begin/Commit install new snapshots atomically under a single-writer
+// lock. The legacy wholesale transformations (Transform, RelabelWhere, …)
+// still return fresh handles with fresh caches, so no entry point can ever
+// serve derived structures computed for a different graph version.
 package core
 
 import (
@@ -34,7 +38,6 @@ import (
 
 	"repro/internal/bisim"
 	"repro/internal/dataguide"
-	"repro/internal/datalog"
 	"repro/internal/index"
 	"repro/internal/mutate"
 	"repro/internal/oem"
@@ -58,9 +61,9 @@ type Database struct {
 	writeMu sync.Mutex // serializes Begin-to-Commit writers and WAL state
 	wal     *mutate.WAL
 
-	// Statement cache: the legacy one-shot methods and the serving layer
-	// route through PrepareCached, and this keeps their repeat executions
-	// on the prepare-once path. Entries hold parsed ASTs and per-snapshot
+	// Statement cache: Explain and the serving layer route through
+	// PrepareCached, and this keeps their repeat executions on the
+	// prepare-once path. Entries hold parsed ASTs and per-snapshot
 	// plan pools; a commit does not evict them — each Stmt re-plans lazily
 	// when it notices the snapshot changed. Eviction is LRU (stmtLRU front
 	// = most recently used), so a hot query survives any number of
@@ -122,9 +125,9 @@ type stmtEntry struct {
 // PrepareCached returns a shared prepared statement for src, preparing and
 // caching it on first use in the database's bounded LRU statement cache.
 // It is the entry point for serving layers (ssdserve keys its request
-// statements by query text through it) and for the legacy one-shot
-// wrappers. Shared Stmts are safe for concurrent use; unlike Prepare, the
-// returned statement may be shared with other callers.
+// statements by query text through it). Shared Stmts are safe for
+// concurrent use; unlike Prepare, the returned statement may be shared with
+// other callers.
 func (db *Database) PrepareCached(src string) (*Stmt, error) { return db.prepared(src) }
 
 // prepared implements PrepareCached. The parse/plan happens outside the
@@ -238,7 +241,7 @@ func (s *snapshot) store() ssd.GraphStore {
 }
 
 // FromGraph wraps an existing graph. The graph must not be mutated directly
-// afterwards; use Begin/Apply/Commit.
+// afterwards; use Begin/Commit.
 func FromGraph(g *ssd.Graph) *Database {
 	db := &Database{}
 	db.snap.Store(&snapshot{g: g})
@@ -284,69 +287,65 @@ func (db *Database) Stats() ssd.Stats { return db.snapshot().g.ComputeStats() }
 // Mutation: the write path (internal/mutate)
 
 // Begin starts a mutation batch against the current snapshot. Build it up
-// with the Batch methods, then hand it to Apply or Commit. Batches from
-// other handles (or from before an intervening commit) that allocate nodes
-// are rejected at apply time.
+// with the Batch methods, then hand it to Commit. Batches from other
+// handles (or from before an intervening commit) that allocate nodes are
+// rejected at commit time.
 func (db *Database) Begin() *mutate.Batch { return mutate.NewBatch(db.snapshot().g) }
 
-// Apply applies a batch and publishes the resulting snapshot without
-// logging it. With a WAL open, prefer Commit: an applied-but-unlogged batch
-// will be missing from a later replay.
-func (db *Database) Apply(b *mutate.Batch) error { return db.commit(b, false) }
-
-// Commit logs the batch to the open WAL (if any) and then applies it. The
-// batch is durable once Commit returns. Readers keep querying the previous
-// snapshot until the new one is published atomically; they never observe a
-// half-applied batch.
-func (db *Database) Commit(b *mutate.Batch) error { return db.commit(b, true) }
-
-// MutateScript parses src in the ssdq mutation script format (see
-// mutate.ParseScript) against the current snapshot and commits it as one
-// batch, logging to the WAL if one is open. The writer lock is held across
-// parse and commit, so the script's node references can never be
-// invalidated by an interleaving writer.
+// Commit applies the batch, logs it to the durable directory's WAL (if the
+// database has one) and publishes the new snapshot, returning the
+// replication position after the commit — the X-SSD-Seq token a serving
+// layer hands back. The batch is durable once Commit returns. Readers keep
+// querying the previous snapshot until the new one is published atomically;
+// they never observe a half-applied batch.
 //
 //ssd:locks writeMu
-func (db *Database) MutateScript(src string) error {
+func (db *Database) Commit(b *mutate.Batch) (uint64, error) {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	return db.commitLocked(b)
+}
+
+// MutateScriptSeq parses src in the mutation script format (see
+// mutate.ParseScript) against the current snapshot and commits it as one
+// batch, returning the replication position after the commit. The writer
+// lock is held across parse and commit, so the script's node references can
+// never be invalidated by an interleaving writer.
+//
+//ssd:locks writeMu
+func (db *Database) MutateScriptSeq(src string) (uint64, error) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	b, err := mutate.ParseScript(src, db.snapshot().g)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return db.commitLocked(b, true)
+	return db.commitLocked(b)
 }
 
-//ssd:locks writeMu
-func (db *Database) commit(b *mutate.Batch, logIt bool) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	return db.commitLocked(b, logIt)
-}
-
-// commitLocked applies, logs, and publishes one batch. The caller holds
-// writeMu: the WAL append and the snapshot swap must not interleave with
-// another writer.
+// commitLocked applies, logs, and publishes one batch, and returns the
+// replication position after it. The caller holds writeMu: the WAL append
+// and the snapshot swap must not interleave with another writer.
 //
 //ssd:requires writeMu
-func (db *Database) commitLocked(b *mutate.Batch, logIt bool) error {
+func (db *Database) commitLocked(b *mutate.Batch) (uint64, error) {
 	start := time.Now()
 	if db.dir != "" && db.wal == nil {
 		// A directory-backed database without its log is closed: accepting
 		// the commit would publish a state no generation or log holds, and
 		// the next OpenPath would silently drop it.
-		return fmt.Errorf("core: database is closed")
+		return 0, fmt.Errorf("core: database is closed")
 	}
 	old := db.snapshot()
 	g2, res, err := mutate.ApplyCOW(old.g, b)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// Log before publishing: a crash after Append replays to a superset of
 	// what readers saw, never a subset.
-	if logIt && db.wal != nil {
+	if db.wal != nil {
 		if err := db.wal.Append(b); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	ns := &snapshot{g: g2}
@@ -373,79 +372,16 @@ func (db *Database) commitLocked(b *mutate.Batch, logIt bool) error {
 	}
 	db.snap.Store(ns)
 	db.invalidateStmtPlans()
-	if logIt || db.wal == nil {
-		// The replication sequence counts exactly the batches a follower can
-		// obtain: logged commits. An unlogged Apply on a WAL-backed database
-		// is invisible to the log, so advancing the sequence for it would
-		// break the seq↔frame correspondence replication cursors rely on.
-		db.advanceSeq(1)
-	}
+	db.advanceSeq(1)
 	obsCommitDur.Observe(time.Since(start))
 	obsCommits.Inc()
-	return nil
+	return db.replSeq.Load(), nil
 }
 
-// OpenWAL attaches the write-ahead log at path (creating it if absent).
-// The log is bound to the current snapshot by fingerprint: batches already
-// in it are replayed — so Open(base) followed by OpenWAL(log) reconstructs
-// exactly the state whose commits the log records — while a log recorded
-// against a different snapshot (e.g. left behind by a compaction that
-// crashed after renaming the new snapshot in) is set aside as <path>.stale
-// and a fresh log is started. Subsequent Commits append to the log.
-//
-//ssd:locks writeMu
-func (db *Database) OpenWAL(path string) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if db.dir != "" {
-		return fmt.Errorf("core: database is directory-backed; its log lives in %s", db.dir)
-	}
-	if db.wal != nil {
-		return fmt.Errorf("core: WAL already open")
-	}
-	w, err := mutate.OpenWAL(path, mutate.Fingerprint(db.snapshot().g))
-	if err != nil {
-		return err
-	}
-	if w.Batches() > 0 {
-		// Replay against a private clone, then publish once.
-		g := db.snapshot().g.Clone()
-		if err := w.Replay(func(b *mutate.Batch) error {
-			_, err := mutate.ApplyInPlace(g, b)
-			return err
-		}); err != nil {
-			w.Close()
-			return err
-		}
-		db.snap.Store(&snapshot{g: g})
-		db.invalidateStmtPlans()
-	}
-	db.wal = w
-	db.walRO.Store(w)
-	return nil
-}
-
-// CompactWAL rewrites the snapshot file at path from the current graph and
-// truncates the open WAL: snapshot + empty log replays to the same state as
-// the old snapshot + full log. On a durable database (OpenPath) use
-// Checkpoint instead — it owns the directory's generation bookkeeping.
-//
-//ssd:locks writeMu
-func (db *Database) CompactWAL(path string) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if db.dir != "" {
-		return fmt.Errorf("core: database is directory-backed; use Checkpoint")
-	}
-	if db.wal == nil {
-		return fmt.Errorf("core: no WAL open")
-	}
-	return db.wal.Compact(path, db.snapshot().g)
-}
-
-// CloseWAL detaches and closes the write-ahead log, if one is open. On a
-// directory-backed database this is the close operation: it also releases
-// the directory lock, letting another process OpenPath it.
+// CloseWAL closes a durable database (OpenPath): it closes the write-ahead
+// log and the page stores and releases the directory lock, letting another
+// process OpenPath it. Later commits fail. On an in-memory database it is a
+// no-op.
 //
 //ssd:locks writeMu
 func (db *Database) CloseWAL() error {
@@ -480,73 +416,8 @@ func (db *Database) PagePoolStats() (storage.PoolStats, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Queries
-//
-// The one-shot methods below predate the statement lifecycle and are kept
-// as thin wrappers: each routes through the statement cache, so repeated
-// calls with the same text hit the prepare-once path automatically.
-
-// Query runs a select-from-where query and returns the result database.
-// Evaluation uses the planned iterator engine, feeding the planner whatever
-// auxiliary structures the database has already built (the label index is
-// built on first query; a DataGuide is used only if previously built, since
-// guide construction can be exponential on irregular data).
-//
-// Deprecated: use Prepare and Stmt.Exec, which add parameter binding and
-// context cancellation. This wrapper remains for convenience.
-func (db *Database) Query(src string) (*Database, error) {
-	s, err := db.prepared(src)
-	if err != nil {
-		return nil, err
-	}
-	// This wrapper is documented as select-from-where; without the guard a
-	// mistyped text that sniffs as a transform would silently execute it.
-	if s.lang != LangQuery {
-		return nil, fmt.Errorf("core: %q is a %s statement, not a query; use Prepare", src, s.lang)
-	}
-	return s.Exec(context.Background())
-}
-
-// QueryEngine runs a query with an explicit engine choice — the ablation
-// hook behind ssdq's -engine flag. Parameterized queries need values; use
-// QueryEngineArgs.
-//
-// Deprecated: use Prepare and Stmt.Exec (EnginePlanned is the only engine
-// statements execute; the naive engine exists for cross-checking).
-func (db *Database) QueryEngine(src string, engine query.Engine) (*Database, error) {
-	return db.QueryEngineArgs(src, engine)
-}
-
-// QueryEngineArgs is QueryEngine with parameter values — the hook behind
-// ssdq's -engine and -param flags. Both engines see identical parameter
-// semantics: the planned engine binds values into plan slots, the naive
-// engine substitutes them into the AST.
-func (db *Database) QueryEngineArgs(src string, engine query.Engine, args ...Param) (*Database, error) {
-	s, err := db.prepared(src)
-	if err != nil {
-		return nil, err
-	}
-	if s.lang != LangQuery {
-		return nil, fmt.Errorf("core: %q is a %s statement, not a query", src, s.lang)
-	}
-	if engine != query.EngineNaive {
-		return s.Exec(context.Background(), args...)
-	}
-	vals, err := s.bindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	// The naive engine ignores PlanOptions; don't build indexes for it —
-	// that would skew the very baseline the ablation flag exists for.
-	snap := db.snapshot()
-	res, err := query.EvalOpts(s.q, snap.g, query.Options{
-		Minimize: true, Engine: query.EngineNaive, Params: vals,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return FromGraph(res), nil
-}
+// Queries: Prepare and PrepareCached (stmt.go) are the statement entry
+// points; the helpers below plan through the same statement cache.
 
 // Explain parses and plans a statement without running it, returning the
 // planner's human-readable plan: atom order, access paths, estimates.
@@ -593,71 +464,9 @@ func (s *snapshot) statistics() *stats.Stats {
 	return s.stats
 }
 
-// QueryRows runs the from/where part of a query and returns the binding
-// tuples — programmatic access without building a result tree. It wraps
-// the streaming Rows cursor, copying each row once into an independent
-// Env (the cursor itself reuses one Env across rows; this wrapper exists
-// for callers who want the materialized slice). Path-variable label
-// slices inside the returned Envs are shared with the engine and must be
-// treated as read-only.
-//
-// Deprecated: use Prepare and Stmt.Query to stream rows without
-// materializing the whole set.
-func (db *Database) QueryRows(src string) ([]query.Env, error) {
-	s, err := db.prepared(src)
-	if err != nil {
-		return nil, err
-	}
-	if s.lang != LangQuery {
-		return nil, fmt.Errorf("core: %q is a %s statement, not a query", src, s.lang)
-	}
-	rows, err := s.Query(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []query.Env
-	for rows.Next() {
-		out = append(out, rows.envFresh())
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PathQuery evaluates a regular path expression from the root and returns
-// the matching nodes, sorted.
-//
-// Deprecated: use Prepare with a `path:` statement and Stmt.Query to
-// stream matches instead of materializing them.
-func (db *Database) PathQuery(src string) ([]ssd.NodeID, error) {
-	s, err := db.prepared("path: " + src)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := s.Query(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []ssd.NodeID
-	for rows.Next() {
-		var n ssd.NodeID
-		if err := rows.Scan(&n); err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
 // PathQueryIndexed evaluates a path expression through the DataGuide path
-// index (building the guide on first use). Results equal PathQuery.
+// index (building the guide on first use). Results equal the sorted node
+// column of a `path:` statement run through Prepare.
 func (db *Database) PathQueryIndexed(src string) ([]ssd.NodeID, error) {
 	au, err := compilePath(src)
 	if err != nil {
@@ -677,22 +486,6 @@ func compilePath(src string) (*pathexpr.Automaton, error) {
 		return nil, fmt.Errorf("core: path has parameters ($%s); use Prepare and bind them", ps[0])
 	}
 	return pathexpr.Compile(e), nil
-}
-
-// Datalog runs a datalog program (semi-naive) and returns its IDB
-// relations. The parse is cached via the statement layer.
-//
-// Deprecated: use Prepare with a `datalog:` statement and Stmt.Query to
-// iterate the tuples.
-func (db *Database) Datalog(src string) (map[string]*datalog.Relation, error) {
-	s, err := db.prepared("datalog: " + src)
-	if err != nil {
-		return nil, err
-	}
-	if s.lang != LangDatalog {
-		return nil, fmt.Errorf("core: %q is a %s statement, not datalog", src, s.lang)
-	}
-	return datalog.NewEngine(db.snapshot().store()).Run(s.dl, datalog.SemiNaive)
 }
 
 // ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 
 func TestQueryEndToEnd(t *testing.T) {
 	db := fig1DB(t)
-	res, err := db.Query(`
+	res, err := execQuery(db, `
 		select {Title: T}
 		from DB.Entry.Movie M, M.Title T, M.Cast._* A
 		where A = "Allen"`)
@@ -58,19 +58,8 @@ func TestQueryEndToEnd(t *testing.T) {
 	if !res.Equal(want) {
 		t.Errorf("got %s", res.Format())
 	}
-	if _, err := db.Query(`select`); err == nil {
+	if _, err := db.Prepare(`select`); err == nil {
 		t.Error("bad query should error")
-	}
-}
-
-func TestQueryRows(t *testing.T) {
-	db := fig1DB(t)
-	rows, err := db.QueryRows(`select T from DB.Entry.Movie.Title T`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Errorf("rows = %d", len(rows))
 	}
 }
 
@@ -81,10 +70,7 @@ func TestPathQueryAndIndexedAgree(t *testing.T) {
 		`_*."Bogart"`,
 		"Entry._.Cast.(isint|Credit.Actors)._",
 	} {
-		direct, err := db.PathQuery(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+		direct := pathIDs(t, db, src)
 		indexed, err := db.PathQueryIndexed(src)
 		if err != nil {
 			t.Fatal(err)
@@ -93,24 +79,24 @@ func TestPathQueryAndIndexedAgree(t *testing.T) {
 			t.Errorf("%s: direct %d, indexed %d", src, len(direct), len(indexed))
 		}
 	}
-	if _, err := db.PathQuery("(("); err == nil {
+	if _, err := db.Prepare("path: (("); err == nil {
 		t.Error("bad path should error")
 	}
 }
 
 func TestDatalogEndToEnd(t *testing.T) {
 	db := fig1DB(t)
-	res, err := db.Datalog(`
+	res, err := datalogTuples(db, `
 		reach(X) :- root(X).
 		reach(Y) :- reach(X), edge(X, _, Y).`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	acc, _ := db.Graph().Accessible()
-	if res["reach"].Len() != acc.NumNodes() {
-		t.Errorf("reach = %d, want %d", res["reach"].Len(), acc.NumNodes())
+	if len(res["reach"]) != acc.NumNodes() {
+		t.Errorf("reach = %d, want %d", len(res["reach"]), acc.NumNodes())
 	}
-	if _, err := db.Datalog(`broken`); err == nil {
+	if _, err := db.Prepare(`datalog: broken`); err == nil {
 		t.Error("bad program should error")
 	}
 }
@@ -154,12 +140,12 @@ func TestRestructuringFlow(t *testing.T) {
 		t.Error("Bacall fix failed")
 	}
 	noRefs := good.DeleteEdges(pathexpr.ExactPred{L: ssd.Sym("References")})
-	refs, _ := noRefs.PathQuery("_*.References")
+	refs := pathIDs(t, noRefs, "_*.References")
 	if len(refs) != 0 {
 		t.Error("References survived deletion")
 	}
 	collapsed := good.CollapseEdges(pathexpr.ExactPred{L: ssd.Sym("Credit")})
-	hits, _ := collapsed.PathQuery("Entry.Movie.Cast.Actors")
+	hits := pathIDs(t, collapsed, "Entry.Movie.Cast.Actors")
 	if len(hits) != 1 {
 		t.Errorf("collapsed Actors hits = %d, want 1", len(hits))
 	}
@@ -207,11 +193,11 @@ func TestTransformCustom(t *testing.T) {
 		}
 		return unql.Keep(l)
 	})
-	hits, _ := out.PathQuery("_*.TITLE")
+	hits := pathIDs(t, out, "_*.TITLE")
 	if len(hits) != 3 {
 		t.Errorf("TITLE edges = %d, want 3", len(hits))
 	}
-	gone, _ := out.PathQuery("_*.Title")
+	gone := pathIDs(t, out, "_*.Title")
 	if len(gone) != 0 {
 		t.Error("Title edges survived")
 	}
@@ -225,8 +211,8 @@ func TestOEMExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Symbol-path behaviour survives (under the synthetic root label).
-	orig, _ := db.PathQuery("Entry.Movie.Title")
-	via, _ := back.PathQuery("root.Entry.Movie.Title")
+	orig := pathIDs(t, db, "Entry.Movie.Title")
+	via := pathIDs(t, back, "root.Entry.Movie.Title")
 	if len(orig) != len(via) {
 		t.Errorf("OEM round trip: %d vs %d title nodes", len(orig), len(via))
 	}
@@ -253,7 +239,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, src := range queries {
-				if _, err := db.Query(src); err != nil {
+				if _, err := execQuery(db, src); err != nil {
 					t.Errorf("query %q: %v", src, err)
 				}
 			}

@@ -208,7 +208,7 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 		snap = &storage.Snapshot{Graph: g, SelfFP: fp, WALBaseFP: fp}
 	}
 
-	w, matched, err := mutate.OpenWALMatching(filepath.Join(dir, walFile), snap.SelfFP, snap.WALBaseFP)
+	w, matched, err := mutate.OpenWAL(filepath.Join(dir, walFile), snap.SelfFP, snap.WALBaseFP)
 	if err != nil {
 		return nil, err
 	}

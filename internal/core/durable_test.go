@@ -23,7 +23,7 @@ func canonDB(db *Database) string { return ssd.FormatRoot(bisim.Canonicalize(db.
 func commitN(t *testing.T, db *Database, start, n int) {
 	t.Helper()
 	for i := start; i < start+n; i++ {
-		if err := db.MutateScript(fmt.Sprintf("addnode; addedge 0 %d $0", i)); err != nil {
+		if _, err := db.MutateScriptSeq(fmt.Sprintf("addnode; addedge 0 %d $0", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func TestCheckpointTruncateRace(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < commits; i++ {
-			if err := db.MutateScript(fmt.Sprintf("addnode; addedge 0 %d $0", i)); err != nil {
+			if _, err := db.MutateScriptSeq(fmt.Sprintf("addnode; addedge 0 %d $0", i)); err != nil {
 				t.Errorf("commit %d: %v", i, err)
 				return
 			}
@@ -363,7 +363,7 @@ func TestSavePathThenOpenPath(t *testing.T) {
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`select T from DB.movie.title T`)
+	res, err := execQuery(db, `select T from DB.movie.title T`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestClosedDurableRefusesCommits(t *testing.T) {
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.MutateScript("addnode; addedge 0 Lost $0"); err == nil {
+	if _, err := db.MutateScriptSeq("addnode; addedge 0 Lost $0"); err == nil {
 		t.Fatal("commit on a closed durable database succeeded")
 	}
 	b := db.Begin()
@@ -415,8 +415,8 @@ func TestClosedDurableRefusesCommits(t *testing.T) {
 	if err := b.AddEdge(db.Graph().Root(), ssd.Sym("Lost"), n); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Apply(b); err == nil {
-		t.Fatal("Apply on a closed durable database succeeded")
+	if _, err := db.Commit(b); err == nil {
+		t.Fatal("Commit on a closed durable database succeeded")
 	}
 	if _, err := db.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint on a closed durable database succeeded")
@@ -478,14 +478,6 @@ func TestCheckpointRequiresOpenPath(t *testing.T) {
 	}
 	if _, err := db.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint on a non-durable database succeeded")
-	}
-	dir := t.TempDir()
-	if err := db.OpenWAL(filepath.Join(dir, "x.wal")); err != nil {
-		t.Fatal(err)
-	}
-	defer db.CloseWAL()
-	if err := db.CompactWAL(filepath.Join(dir, "x.ssdg")); err != nil {
-		t.Fatal(err) // legacy path still works on non-durable databases
 	}
 }
 

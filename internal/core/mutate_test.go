@@ -1,11 +1,11 @@
 package core
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/mutate"
 	"repro/internal/pathexpr"
 	"repro/internal/query"
 	"repro/internal/ssd"
@@ -16,7 +16,7 @@ import (
 // its result value.
 func canonQuery(t *testing.T, db *Database, src string) string {
 	t.Helper()
-	res, err := db.Query(src)
+	res, err := execQuery(db, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,7 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	if err := b.AddEdge(titleNode, ssd.Str("Play It Again"), leaf); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Apply(b); err != nil {
-		t.Fatal(err)
-	}
+	mustCommit(t, db, b)
 
 	// The planned query (through the incrementally maintained label index)
 	// and the naive engine must both see the new edge — and agree.
@@ -63,15 +61,15 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	if after == before {
 		t.Fatal("query result unchanged after mutation: stale cache")
 	}
-	res, err := db.Query(titles)
+	res, err := execQuery(db, titles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := db.QueryEngine(titles, query.EngineNaive)
+	naive, err := query.EvalNaive(query.MustParse(titles), db.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Equal(naive) {
+	if !res.Equal(FromGraph(naive)) {
 		t.Fatal("planned and naive engines disagree after mutation")
 	}
 	// Value index: the new string is findable.
@@ -101,26 +99,24 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	}
 }
 
-// TestCommitWALReplay is the acceptance test: a WAL written by one process,
-// replayed by core.Open + OpenWAL in a fresh process, yields a database
-// whose query results are byte-identical via bisim.Canonicalize.
+// TestCommitWALReplay is the acceptance test: batches committed to a
+// durable directory — an added Year, a Relabel plus SetOID, a DeleteEdge —
+// recovered by OpenPath in a fresh handle, yield a database whose graph and
+// query results are byte-identical via bisim.Canonicalize: first replayed
+// from the WAL, then again from a checkpointed generation.
 func TestCommitWALReplay(t *testing.T) {
 	dir := t.TempDir()
-	base := filepath.Join(dir, "base.ssdg")
-	logPath := filepath.Join(dir, "wal")
-
 	queries := []string{
 		`select T from DB.Entry.Movie.Title T`,
 		`select {Who: D} from DB.Entry.Movie M, M.Director D`,
+		`select {Who: D} from DB.Entry.Movie M, M.DirectedBy D`,
 		`select X from DB._*.Year X`,
 	}
 
-	// "Process 1": persist the base, open a WAL, commit batches.
-	db := FromGraph(workload.Fig1(false))
-	if err := db.Save(base); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.OpenWAL(logPath); err != nil {
+	// "Process 1": seed the directory, commit batches through its WAL.
+	must(t, FromGraph(workload.Fig1(false)).SavePath(dir))
+	db, err := OpenPath(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	g := db.Graph()
@@ -132,53 +128,57 @@ func TestCommitWALReplay(t *testing.T) {
 	leaf := b.AddNode()
 	must(t, b.AddEdge(movie, ssd.Sym("Year"), year))
 	must(t, b.AddEdge(year, ssd.Int(1942), leaf))
-	must(t, db.Commit(b))
+	mustCommit(t, db, b)
 
 	b = db.Begin()
 	must(t, b.Relabel(movie, ssd.Sym("Director"), ssd.Sym("DirectedBy")))
 	must(t, b.SetOID(movie, "&m1"))
-	must(t, db.Commit(b))
+	mustCommit(t, db, b)
 
 	b = db.Begin()
 	title := db.Graph().LookupFirst(movie, ssd.Sym("Title"))
 	must(t, b.DeleteEdge(movie, ssd.Sym("Title"), title))
-	must(t, db.Commit(b))
+	mustCommit(t, db, b)
+
+	wantGraph := ssd.FormatRoot(bisim.Canonicalize(db.Graph()))
+	wantQueries := make([]string, len(queries))
+	for i, q := range queries {
+		wantQueries[i] = canonQuery(t, db, q)
+	}
 	must(t, db.CloseWAL())
 
-	// "Process 2": fresh handle from the files alone.
-	db2, err := Open(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.OpenWAL(logPath); err != nil {
-		t.Fatal(err)
-	}
-
-	if want, got := ssd.FormatRoot(bisim.Canonicalize(db.Graph())), ssd.FormatRoot(bisim.Canonicalize(db2.Graph())); got != want {
-		t.Fatalf("replayed database differs:\n got %s\nwant %s", got, want)
-	}
-	for _, q := range queries {
-		if want, got := canonQuery(t, db, q), canonQuery(t, db2, q); got != want {
-			t.Fatalf("query %q differs after replay:\n got %s\nwant %s", q, got, want)
+	reopen := func(stage string, wantReplayed int) *Database {
+		t.Helper()
+		db, err := OpenPath(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if id, ok := db2.Graph().OIDOf(movie); !ok || id != "&m1" {
-		t.Fatalf("oid lost in replay: %q, %v", id, ok)
+		if got := db.LastRecovery().Replayed; got != wantReplayed {
+			t.Fatalf("%s: replayed %d batches, want %d", stage, got, wantReplayed)
+		}
+		if got := ssd.FormatRoot(bisim.Canonicalize(db.Graph())); got != wantGraph {
+			t.Fatalf("%s: recovered database differs:\n got %s\nwant %s", stage, got, wantGraph)
+		}
+		for i, q := range queries {
+			if got := canonQuery(t, db, q); got != wantQueries[i] {
+				t.Fatalf("%s: query %q differs:\n got %s\nwant %s", stage, q, got, wantQueries[i])
+			}
+		}
+		if id, ok := db.Graph().OIDOf(movie); !ok || id != "&m1" {
+			t.Fatalf("%s: oid lost: %q, %v", stage, id, ok)
+		}
+		return db
 	}
 
-	// Compaction: snapshot + truncated log still reopens identically.
-	must(t, db2.CompactWAL(base))
+	// "Process 2": the seed generation plus the whole WAL.
+	db2 := reopen("replay", 3)
+	// A checkpoint folds the log into a generation: the next open replays
+	// nothing and must still land on the same state.
+	if _, err := db2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	must(t, db2.CloseWAL())
-	db3, err := Open(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db3.OpenWAL(logPath); err != nil {
-		t.Fatal(err)
-	}
-	if want, got := canonQuery(t, db, queries[0]), canonQuery(t, db3, queries[0]); got != want {
-		t.Fatal("compacted database diverged")
-	}
+	must(t, reopen("checkpoint", 0).CloseWAL())
 }
 
 // TestConcurrentReadersDuringCommit drives queries, browsing lookups and
@@ -205,7 +205,7 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Query(`select T from DB.Entry.Movie.Title T`)
+				res, err := execQuery(db, `select T from DB.Entry.Movie.Title T`)
 				if err != nil {
 					t.Error(err)
 					return
@@ -229,7 +229,7 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 		leaf := b.AddNode()
 		must(t, b.AddEdge(entry, ssd.Sym("Tag"), tag))
 		must(t, b.AddEdge(tag, ssd.Str("tag-value"), leaf))
-		must(t, db.Apply(b))
+		mustCommit(t, db, b)
 	}
 	close(stop)
 	wg.Wait()
@@ -242,6 +242,13 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustCommit(t *testing.T, db *Database, b *mutate.Batch) {
+	t.Helper()
+	if _, err := db.Commit(b); err != nil {
 		t.Fatal(err)
 	}
 }

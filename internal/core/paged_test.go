@@ -41,33 +41,29 @@ func observeFrontEnds(t *testing.T, db *Database) frontEndObs {
 	var o frontEndObs
 
 	db.SetParallelism(1)
-	res, err := db.Query(sel)
+	res, err := execQuery(db, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.selSerial = canonDB(res)
 
 	db.SetParallelism(4)
-	res, err = db.Query(sel)
+	res, err = execQuery(db, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.selParallel = canonDB(res)
 	db.SetParallelism(1)
 
-	o.pathIDs, err = db.PathQuery(`Entry._.Title._`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(o.pathIDs, func(i, j int) bool { return o.pathIDs[i] < o.pathIDs[j] })
+	o.pathIDs = pathIDs(t, db, `Entry._.Title._`)
 
-	rels, err := db.Datalog(`
+	rels, err := datalogTuples(db, `
 		reach(X) :- root(X).
 		reach(Y) :- reach(X), edge(X, _, Y).`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tu := range rels["reach"].Tuples() {
+	for _, tu := range rels["reach"] {
 		o.datalog = append(o.datalog, fmt.Sprint(tu))
 	}
 	sort.Strings(o.datalog)
@@ -275,7 +271,7 @@ func TestPagedRecovery(t *testing.T) {
 	if got := canonDB(re3); got != want {
 		t.Fatalf("state after torn-image rebuild differs:\nwant %s\ngot  %s", want, got)
 	}
-	if _, err := re3.Query(`select {N: X} from DB._ X`); err != nil {
+	if _, err := execQuery(re3, `select {N: X} from DB._ X`); err != nil {
 		t.Fatalf("query after rebuild: %v", err)
 	}
 }
@@ -295,17 +291,13 @@ func TestPagedCommitThenCheckpoint(t *testing.T) {
 	if _, ok := db.PagePoolStats(); !ok {
 		t.Fatal("paged open did not bind a page store")
 	}
-	if err := db.MutateScript("addnode; addedge 0 999 $0"); err != nil {
+	if _, err := db.MutateScriptSeq("addnode; addedge 0 999 $0"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := db.PagePoolStats(); ok {
 		t.Fatal("post-commit snapshot should fall back to memory until the next checkpoint")
 	}
-	ids, err := db.PathQuery(`999`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 {
+	if ids := pathIDs(t, db, `999`); len(ids) != 1 {
 		t.Fatalf("fresh commit invisible to path query: got %d hits", len(ids))
 	}
 
@@ -315,11 +307,7 @@ func TestPagedCommitThenCheckpoint(t *testing.T) {
 	if _, ok := db.PagePoolStats(); !ok {
 		t.Fatal("checkpoint did not re-bind the paged read path")
 	}
-	ids, err = db.PathQuery(`999`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 {
+	if ids := pathIDs(t, db, `999`); len(ids) != 1 {
 		t.Fatalf("committed edge missing from paged store: got %d hits", len(ids))
 	}
 }

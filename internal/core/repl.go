@@ -16,7 +16,7 @@ import (
 // /replicate endpoints and a follower's apply loop are built from.
 //
 // The unit of replication is the committed batch, and the coordinate system
-// is the commit sequence: replSeq counts every logged commit since the
+// is the commit sequence: replSeq counts every commit since the
 // durable directory's birth. The WAL holds a contiguous suffix of that
 // history — its first frame is batch number replSeq-Batches() — and each
 // checkpoint persists the sequence it folded (Snapshot.CommitSeq), so the
@@ -35,7 +35,7 @@ var obsCommitSeq = obs.Default.Gauge("ssd_commit_seq",
 	"Replication position: batches committed since the durable directory's birth.")
 
 // CommitSeq returns the database's replication position — the number of
-// logged batches committed since the durable directory's birth (since
+// batches committed since the durable directory's birth (since
 // handle creation for non-durable databases). It is the value carried by
 // X-SSD-Seq read-your-writes tokens. Lock-free.
 func (db *Database) CommitSeq() uint64 { return db.replSeq.Load() }
@@ -105,24 +105,6 @@ func (db *Database) WaitForSeq(ctx context.Context, seq uint64) error {
 	}
 }
 
-// MutateScriptSeq is MutateScript returning the replication position after
-// the commit — the X-SSD-Seq token a serving layer hands back so the
-// client's next read can demand its own write.
-//
-//ssd:locks writeMu
-func (db *Database) MutateScriptSeq(src string) (uint64, error) {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	b, err := mutate.ParseScript(src, db.snapshot().g)
-	if err != nil {
-		return 0, err
-	}
-	if err := db.commitLocked(b, true); err != nil {
-		return 0, err
-	}
-	return db.replSeq.Load(), nil
-}
-
 // ReplCursor opens a frame cursor positioned at global sequence from, and
 // also reports the current commit position. It returns ErrReplGone when a
 // checkpoint has already truncated that position out of the log. The cursor
@@ -171,10 +153,7 @@ func (db *Database) ApplyReplicated(frame []byte) (uint64, error) {
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if err := db.commitLocked(b, true); err != nil {
-		return 0, err
-	}
-	return db.replSeq.Load(), nil
+	return db.commitLocked(b)
 }
 
 // SnapshotFile returns the path and generation of the newest durable

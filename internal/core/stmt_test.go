@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/datalog"
 	"repro/internal/pathexpr"
+	"repro/internal/query"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
@@ -53,7 +56,7 @@ func TestStmtQueryParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lit, err := db.Query(fmt.Sprintf(`select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "%s"`, who))
+		lit, err := execQuery(db, fmt.Sprintf(`select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "%s"`, who))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +77,7 @@ func TestStmtQueryParams(t *testing.T) {
 }
 
 // TestStmtRowsStreaming: the Rows cursor yields the same tuples as the
-// materializing QueryRows wrapper, and Scan reads typed columns.
+// naive reference evaluator, and Scan reads typed columns.
 func TestStmtRowsStreaming(t *testing.T) {
 	db := fig1DB(t)
 	const src = `select T from DB.Entry.Movie M, M.Title T`
@@ -90,7 +93,7 @@ func TestStmtRowsStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rows.Close()
-	var streamed []ssd.NodeID
+	var streamed []string
 	for rows.Next() {
 		var m, tn ssd.NodeID
 		if err := rows.Scan(&m, &tn); err != nil {
@@ -100,22 +103,23 @@ func TestStmtRowsStreaming(t *testing.T) {
 		if env.Trees["M"] != m || env.Trees["T"] != tn {
 			t.Fatal("Scan and Env disagree")
 		}
-		streamed = append(streamed, tn)
+		streamed = append(streamed, fmt.Sprint(m, tn))
 	}
 	if err := rows.Err(); err != nil {
 		t.Fatal(err)
 	}
-	envs, err := db.QueryRows(src)
+	envs, err := query.EvalRows(query.MustParse(src), db.Graph(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(envs) != len(streamed) {
-		t.Fatalf("QueryRows %d rows, streamed %d", len(envs), len(streamed))
+	var want []string
+	for _, e := range envs {
+		want = append(want, fmt.Sprint(e.Trees["M"], e.Trees["T"]))
 	}
-	for i, e := range envs {
-		if e.Trees["T"] != streamed[i] {
-			t.Errorf("row %d: QueryRows T=%d, streamed %d", i, e.Trees["T"], streamed[i])
-		}
+	sort.Strings(streamed)
+	sort.Strings(want)
+	if fmt.Sprint(streamed) != fmt.Sprint(want) {
+		t.Fatalf("streamed rows %v, naive rows %v", streamed, want)
 	}
 
 	// Label and path columns: Scan's positional slot reads must agree with
@@ -180,10 +184,7 @@ func TestStmtPath(t *testing.T) {
 		return out
 	}
 	movies := drain(P("kind", ssd.Sym("Movie")))
-	want, err := db.PathQuery("Entry.Movie.Title")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := pathIDs(t, db, "Entry.Movie.Title")
 	if len(movies) != len(want) {
 		t.Fatalf("param path %d nodes, literal %d", len(movies), len(want))
 	}
@@ -194,13 +195,10 @@ func TestStmtPath(t *testing.T) {
 	if _, err := s.Exec(context.Background(), P("kind", ssd.Sym("Movie"))); err == nil {
 		t.Error("Exec on path statement should error")
 	}
-	// The legacy entry points cannot bind parameters, so they must reject
-	// them rather than compile a match-nothing predicate.
+	// PathQueryIndexed cannot bind parameters, so it must reject them
+	// rather than compile a match-nothing predicate.
 	if _, err := db.PathQueryIndexed("Entry.$kind.Title"); err == nil {
 		t.Error("PathQueryIndexed with $param should error")
-	}
-	if _, err := db.PathQuery("Entry.$kind.Title"); err == nil {
-		t.Error("PathQuery with $param should error")
 	}
 }
 
@@ -228,7 +226,11 @@ func TestStmtDatalog(t *testing.T) {
 		}
 		n++
 	}
-	rels, err := db.Datalog(prog)
+	parsed, err := datalog.ParseProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels, err := datalog.NewEngine(db.Graph()).Run(parsed, datalog.SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +267,8 @@ func TestStmtTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refs, _ := trimmed.PathQuery("_*.References"); len(refs) != 0 {
+	if refs := pathIDs(t, trimmed, "_*.References"); len(refs) != 0 {
 		t.Fatalf("References survived delete: %d", len(refs))
-	}
-
-	// The deprecated Query wrapper must not silently execute a transform
-	// that its caller meant as (mistyped) query text.
-	if _, err := db.Query("delete Title"); err == nil {
-		t.Error("db.Query on transform text should error")
 	}
 }
 
@@ -321,7 +317,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if err := b.AddEdge(titleNode, ssd.Str("Play It Again"), leaf); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Apply(b); err != nil {
+	if _, err := db.Commit(b); err != nil {
 		t.Fatal(err)
 	}
 	if got := countRows(pinned); got != 2 {
@@ -424,7 +420,7 @@ func TestConcurrentStmtQueryDuringCommits(t *testing.T) {
 				errs <- err
 				return
 			}
-			if err := db.Apply(b); err != nil {
+			if _, err := db.Commit(b); err != nil {
 				errs <- err
 				return
 			}

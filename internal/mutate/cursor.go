@@ -23,8 +23,8 @@ import (
 //     in-flight write, or a torn tail after a crash) is indistinguishable
 //     from "no frame yet" and is never surfaced to the consumer.
 //
-// Log truncation (TruncatePrefix) replaces the file via rename, and
-// compaction (Compact) shrinks it in place; both invalidate the cursor's
+// Log truncation (TruncatePrefix) replaces the file via rename, and an
+// in-place truncation shrinks it under the same inode; both invalidate the cursor's
 // offset-to-frame mapping. The cursor detects either — a changed inode, or
 // a file now shorter than its read offset — and reports ErrCursorRebound so
 // the caller can re-derive its position and open a fresh cursor.
@@ -163,7 +163,7 @@ func (c *Cursor) frameAt(off int64) ([]byte, error) {
 // rebound reports whether the file at the cursor's path is no longer the one
 // (or the prefix) the cursor has been reading: a rename swapped the inode
 // (TruncatePrefix), or an in-place truncation shrank it below the cursor's
-// offset (Compact). Called only when no complete frame is available, so a
+// offset. Called only when no complete frame is available, so a
 // false negative just means one more poll.
 func (c *Cursor) rebound() bool {
 	cur, err := c.f.Stat()

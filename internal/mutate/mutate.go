@@ -13,8 +13,8 @@
 //     (ApplyCOW), producing the edge Delta that drives incremental
 //     maintenance of indexes and DataGuides;
 //   - an append-only write-ahead log (wal.go) with Open/Replay/Append/
-//     Compact, so a database file plus its WAL replays to exactly the
-//     in-memory graph.
+//     TruncatePrefix, so a durable directory's snapshot plus its WAL
+//     replays to exactly the in-memory graph.
 //
 // A small text script format (script.go) exposes the record types to the
 // ssdq CLI.

@@ -18,7 +18,7 @@ func truncBase(t *testing.T, path string, n int) (*ssd.Graph, *WAL, *ssd.Graph) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenWAL(path, Fingerprint(base))
+	w, _, err := OpenWAL(path, Fingerprint(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTruncatePrefix(t *testing.T) {
 		w.Close()
 
 		// Reopen against the mid state and replay: must equal final.
-		rw, err := OpenWAL(path, Fingerprint(mid))
+		rw, _, err := OpenWAL(path, Fingerprint(mid))
 		if err != nil {
 			t.Fatalf("k=%d reopen: %v", k, err)
 		}
@@ -112,7 +112,7 @@ func TestTruncatePrefixThenAppend(t *testing.T) {
 	}
 	w.Close()
 
-	rw, err := OpenWAL(path, fp)
+	rw, _, err := OpenWAL(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +132,17 @@ func TestTruncatePrefixThenAppend(t *testing.T) {
 	}
 }
 
-// TestOpenWALMatching covers the recovery-side open: the matched
+// TestOpenWALMatching covers OpenWAL's header binding: the matched
 // fingerprint is reported, and a log bound to no accepted fingerprint is a
-// hard error (never set aside — that would silently drop commits in a
-// durable directory).
+// hard error that leaves the file untouched (starting fresh would silently
+// drop commits in a durable directory).
 func TestOpenWALMatching(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	base, w, _ := truncBase(t, path, 2)
 	w.Close()
 
 	fp := Fingerprint(base)
-	rw, matched, err := OpenWALMatching(path, 0x12345678, fp)
+	rw, matched, err := OpenWAL(path, 0x12345678, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +154,20 @@ func TestOpenWALMatching(t *testing.T) {
 	}
 	rw.Close()
 
-	if _, _, err := OpenWALMatching(path, 0x12345678); err == nil {
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenWAL(path, 0x12345678); err == nil {
 		t.Fatal("unknown binding accepted")
 	}
-	if _, statErr := os.Stat(path + ".stale"); !os.IsNotExist(statErr) {
-		t.Fatal("OpenWALMatching set the log aside on mismatch")
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Fatalf("mismatched log was modified: %v", err)
 	}
 
 	// A fresh file is created bound to the first fingerprint.
 	fresh := filepath.Join(t.TempDir(), "fresh.log")
-	fw, matched, err := OpenWALMatching(fresh, 0xABCD)
+	fw, matched, err := OpenWAL(fresh, 0xABCD)
 	if err != nil {
 		t.Fatal(err)
 	}

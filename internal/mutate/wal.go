@@ -22,13 +22,11 @@ import (
 //
 // Open scans existing frames and truncates a torn tail (a partial final
 // frame from a crashed writer), so replay is exactly the committed prefix.
-// A log whose header names a different snapshot is set aside as
-// <path>.stale and a fresh log is started: its batches were built against
-// a base that no longer exists, so replaying them would corrupt rather
-// than recover — this is exactly the state a crash between Compact's
-// snapshot rename and log truncation leaves behind, and setting the log
-// aside completes that interrupted compaction. Append syncs after every
-// frame: once Append returns, the batch survives a crash.
+// A log whose header names no snapshot the caller knows is refused: its
+// batches were built against a base that no longer exists, so replaying
+// them would corrupt rather than recover, and starting fresh would silently
+// drop commits. Append syncs after every frame: once Append returns, the
+// batch survives a crash.
 type WAL struct {
 	path string
 	f    *os.File
@@ -41,9 +39,9 @@ type WAL struct {
 	pending  [][]byte // batch payloads read at Open, consumed by Replay
 	batches  int      // batch frames appended + replayable
 	replayed bool
-	// broken latches the error of a truncation or compaction that failed
-	// after its point of no return (the on-disk log no longer matches this
-	// handle's state). Every subsequent write refuses with it: acking a
+	// broken latches the error of a truncation that failed after its
+	// point of no return (the on-disk log no longer matches this handle's
+	// state). Every subsequent write refuses with it: acking a
 	// commit that the on-disk log does not hold would be silent data loss.
 	broken error
 }
@@ -62,26 +60,14 @@ func headerPayload(fp uint32) []byte {
 	return binary.LittleEndian.AppendUint32(buf, fp)
 }
 
-// OpenWAL opens (creating if necessary) the log at path, binding it to the
-// base snapshot with the given fingerprint (Fingerprint of the graph the
-// log's batches extend). Call Replay to apply the logged batches, then
-// Append to extend the log.
-func OpenWAL(path string, fp uint32) (*WAL, error) {
-	w, _, err := openWAL(path, []uint32{fp}, true)
-	return w, err
-}
-
-// OpenWALMatching opens the log at path accepting any of the given binding
-// fingerprints, and reports which one the header carried. Unlike OpenWAL it
-// never sets a mismatched log aside: in a durable directory (core.OpenPath)
-// a log bound to no known snapshot means lost commits, so the mismatch is
-// surfaced as an error instead of silently starting fresh. A missing or
-// empty log is created bound to fps[0].
-func OpenWALMatching(path string, fps ...uint32) (*WAL, uint32, error) {
-	return openWAL(path, fps, false)
-}
-
-func openWAL(path string, fps []uint32, sideline bool) (*WAL, uint32, error) {
+// OpenWAL opens (creating if necessary) the log at path, accepting a header
+// bound to any of the given snapshot fingerprints (Fingerprint of the graph
+// the log's batches extend), and reports which one the header carried. A
+// log bound to none of them is an error: in a durable directory
+// (core.OpenPath) it means lost commits. A missing or empty log is created
+// bound to fps[0]. Call Replay to apply the logged batches, then Append to
+// extend the log.
+func OpenWAL(path string, fps ...uint32) (*WAL, uint32, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, err
@@ -103,27 +89,12 @@ func openWAL(path string, fps []uint32, sideline bool) (*WAL, uint32, error) {
 		}
 	}
 	if len(data) > 0 && !headerOK {
-		if !sideline {
-			f.Close()
-			return nil, 0, fmt.Errorf("mutate: WAL %s is bound to an unknown snapshot", path)
-		}
-		// Unreadable header, or a log bound to a different snapshot. Set the
-		// file aside rather than truncate — its batches may matter to someone
-		// (see the type comment) — and start fresh.
 		f.Close()
-		if err := os.Rename(path, path+".stale"); err != nil {
-			return nil, 0, err
-		}
-		if f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
-			return nil, 0, err
-		}
-		w.f = f
-		frames, end = nil, 0
-		data = nil
+		return nil, 0, fmt.Errorf("mutate: WAL %s is bound to an unknown snapshot", path)
 	}
 	w.fp = matched
 	if len(frames) == 0 {
-		// Fresh (or reset) log: write the binding header.
+		// Fresh log: write the binding header.
 		if err := w.writeFrame(headerPayload(matched)); err != nil {
 			f.Close()
 			return nil, 0, err
@@ -325,76 +296,8 @@ func (w *WAL) TruncatePrefix(k int, newFP uint32) error {
 	return nil
 }
 
-// Compact persists g — the graph every logged batch has been applied to —
-// as the new snapshot at snapshotPath (storage's binary format) and resets
-// the log to an empty one bound to the new snapshot: snapshot + empty log
-// is equivalent to the old snapshot + the full log. The snapshot is
-// written to a temporary file, synced, and atomically renamed over the old
-// one, so a crash at any point leaves a replayable state: before the
-// rename, the old snapshot plus the full log; after it, the new snapshot
-// plus a log that OpenWAL will recognize (by its header fingerprint) as
-// belonging to the old snapshot and set aside.
-//
-// Like TruncatePrefix, Compact must run under the writer lock that
-// serializes Append: a commit landing between the snapshot rename and the
-// log reset would be truncated away and lost.
-//
-//ssd:requires writeMu
-func (w *WAL) Compact(snapshotPath string, g *ssd.Graph) error {
-	if w.broken != nil {
-		return w.broken
-	}
-	tmp := snapshotPath + ".compact"
-	if err := storage.WriteFile(tmp, g); err != nil {
-		return err
-	}
-	if err := syncFile(tmp); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, snapshotPath); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Point of no return: the new snapshot is in place, so the log on disk
-	// now describes a superseded base. A failure before the reset header is
-	// durable must poison the handle — an append to the stale-bound log
-	// would be set aside (and lost) at the next open.
-	poison := func(err error) error {
-		w.broken = fmt.Errorf("mutate: WAL %s: compaction failed after snapshot rename: %w", w.path, err)
-		return w.broken
-	}
-	if err := syncDir(snapshotPath); err != nil {
-		return poison(err)
-	}
-	if err := w.f.Truncate(0); err != nil {
-		return poison(err)
-	}
-	if _, err := w.f.Seek(0, 0); err != nil {
-		return poison(err)
-	}
-	w.end.Store(0)
-	obsWALBytes.Set(0)
-	w.batches = 0
-	w.pending = nil
-	w.fp = Fingerprint(g)
-	if err := w.writeFrame(headerPayload(w.fp)); err != nil {
-		return poison(err)
-	}
-	return nil
-}
-
 // Close releases the log's file handle.
 func (w *WAL) Close() error { return w.f.Close() }
-
-func syncFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
 
 func syncDir(path string) error {
 	d, err := os.Open(filepath.Dir(path))

@@ -40,7 +40,7 @@ func TestWALTornTailFrameBoundaries(t *testing.T) {
 
 	g := fig1Fragment()
 	base := canon(g)
-	w, err := OpenWAL(logPath, Fingerprint(fig1Fragment()))
+	w, _, err := OpenWAL(logPath, Fingerprint(fig1Fragment()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestWALTornTailFrameBoundaries(t *testing.T) {
 		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w2, err := OpenWAL(torn, Fingerprint(fig1Fragment()))
+		w2, _, err := OpenWAL(torn, Fingerprint(fig1Fragment()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

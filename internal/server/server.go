@@ -35,6 +35,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -304,6 +305,22 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(statusLine{Error: err.Error()})
 }
 
+// maxBodyBytes bounds /query and /mutate request bodies. A larger body is
+// refused whole with 413, never truncated and partly executed.
+const maxBodyBytes = 1 << 20
+
+// bodyError answers a request-body read failure: 413 when the body exceeded
+// maxBodyBytes, 400 for anything else.
+func bodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("server: request body exceeds %d bytes", maxBodyBytes))
+		return
+	}
+	httpError(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %w", err))
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
@@ -311,8 +328,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 
 	var req queryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		bodyError(w, err)
 		return
 	}
 	if req.Query == "" {
@@ -547,8 +564,8 @@ type mutateResponse struct {
 }
 
 // handleMutate applies one mutation script (the ssdq script format, see
-// mutate.ParseScript) as a single committed batch. With a WAL open on the
-// database the batch is durable once the response is written. Concurrent
+// mutate.ParseScript) as a single committed batch. On a durable database
+// the batch is durable once the response is written. Concurrent
 // readers keep streaming from their pinned snapshots; the commit publishes
 // a new one.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
@@ -561,9 +578,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.rejectReadOnly(w, "mutations")
 		return
 	}
-	src, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		bodyError(w, err)
 		return
 	}
 	seq, err := s.db.MutateScriptSeq(string(src))

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -236,18 +235,57 @@ func TestMutateAndHealthz(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a /mutate or /query body over the 1 MiB cap is
+// refused whole with 413. A truncated script must never commit its prefix.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts, db := newTestServer(t, 50, 0)
+	seq, before := db.CommitSeq(), db.Stats()
+	script := strings.Repeat("addnode\n", maxBodyBytes/len("addnode\n")+1)
+	resp, err := http.Post(ts.URL+"/mutate", "text/plain", strings.NewReader(script))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /mutate: status %d, want 413", resp.StatusCode)
+	}
+	if db.CommitSeq() != seq || db.Stats() != before {
+		t.Fatalf("oversized /mutate committed: seq %d -> %d, stats %+v -> %+v",
+			seq, db.CommitSeq(), before, db.Stats())
+	}
+
+	query := `{"query": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	resp, err = http.Post(ts.URL+"/query", "application/json", strings.NewReader(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /query: status %d, want 413", resp.StatusCode)
+	}
+}
+
 // TestConcurrentQueriesDuringCommits is the serving-layer -race acceptance
 // test: parallel parameterized queries stream while a writer commits
 // batches through /mutate. Every response must be internally consistent
 // (terminal line matches row count, no mid-stream errors).
 func TestConcurrentQueriesDuringCommits(t *testing.T) {
-	_, ts, db := newTestServer(t, 300, 3)
-	// Commits go through an attached WAL, as in production: durability on
-	// the write path must not perturb the readers' pinned snapshots.
-	if err := db.OpenWAL(filepath.Join(t.TempDir(), "wal")); err != nil {
+	// Commits go through a durable directory's WAL, as in production:
+	// durability on the write path must not perturb the readers' pinned
+	// snapshots.
+	dir := t.TempDir()
+	if err := core.FromGraph(workload.Movies(workload.DefaultMovieConfig(300))).SavePath(dir); err != nil {
+		t.Fatal(err)
+	}
+	db, err := core.OpenPath(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.CloseWAL()
+	ts := httptest.NewServer(New(db, Config{Parallelism: 3}).Handler())
+	defer ts.Close()
 	const (
 		readers = 6
 		rounds  = 8
