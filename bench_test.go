@@ -103,14 +103,14 @@ func BenchmarkPlannedVsNaive(b *testing.B) {
 			b.Run(fmt.Sprintf("planned/%s/entries=%d", w.name, size), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := query.EvalOpts(q, g, query.Options{Minimize: true}); err != nil {
+					if _, err := query.EvalOpts(q, g, query.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			b.Run(fmt.Sprintf("planned-indexed/%s/entries=%d", w.name, size), func(b *testing.B) {
 				b.ReportAllocs()
-				opts := query.Options{Minimize: true, Plan: query.PlanOptions{Label: ix}}
+				opts := query.Options{Plan: query.PlanOptions{Label: ix}}
 				for i := 0; i < b.N; i++ {
 					if _, err := query.EvalOpts(q, g, opts); err != nil {
 						b.Fatal(err)
@@ -474,7 +474,7 @@ func BenchmarkPagedVsInMemory(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := p.EvalGraph(query.Options{Minimize: true}); err != nil {
+			if _, err := p.EvalGraph(nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -706,7 +706,7 @@ func BenchmarkPreparedVsOneShot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.EvalGraph(query.Options{Minimize: true}); err != nil {
+			if _, err := p.EvalGraph(nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -793,54 +793,6 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 	}
 	b.Run("untraced", func(b *testing.B) { run(b, false) })
 	b.Run("traced", func(b *testing.B) { run(b, true) })
-}
-
-// ---------------------------------------------------------------------------
-// Cost-based vs heuristic planning on a skewed distribution. The skewed
-// workload makes the structural heuristic pick the wide Reviews.Score atom
-// before the near-empty Tag="needle" atom; the statistics-fed cost model
-// inverts that, so the same query runs against far smaller intermediate
-// frontiers. The two sub-benchmarks run the exact same query on the exact
-// same graph — only the planner's atom order differs.
-
-func BenchmarkCostBasedVsHeuristic(b *testing.B) {
-	g := workload.Skewed(workload.DefaultSkewConfig(2000))
-	st := stats.Build(g)
-	q := query.MustParse(`
-		select T
-		from DB.Entry.Movie M,
-		     M.Reviews.Score S,
-		     M.Tag X,
-		     M.Title T
-		where S > 0 and X = "needle"`)
-	run := func(b *testing.B, po query.PlanOptions) {
-		b.Helper()
-		p, err := query.NewPlan(q, g, po)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cur, err := p.Cursor(nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for cur.Next() {
-				n++
-			}
-			if err := cur.Err(); err != nil {
-				b.Fatal(err)
-			}
-			cur.Close()
-			if n == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	}
-	b.Run("heuristic", func(b *testing.B) { run(b, query.PlanOptions{Heuristic: true}) })
-	b.Run("cost-based", func(b *testing.B) { run(b, query.PlanOptions{Stats: st}) })
 }
 
 // BenchmarkStatsMaintenance prices the statistics lifecycle: the full

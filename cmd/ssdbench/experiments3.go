@@ -39,17 +39,14 @@ func runE12Engines(scale int) {
 				naiveRes = res
 			})
 			plannedTime := timeBest(3, func() {
-				res, err := query.EvalOpts(q, g, query.Options{Minimize: true})
+				res, err := query.EvalOpts(q, g, query.Options{})
 				if err != nil {
 					panic(err)
 				}
 				plannedRes = res
 			})
 			indexedTime := timeBest(3, func() {
-				if _, err := query.EvalOpts(q, g, query.Options{
-					Minimize: true,
-					Plan:     query.PlanOptions{Label: ix},
-				}); err != nil {
+				if _, err := query.EvalOpts(q, g, query.Options{Plan: query.PlanOptions{Label: ix}}); err != nil {
 					panic(err)
 				}
 			})

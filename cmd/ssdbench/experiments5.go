@@ -56,7 +56,7 @@ func runE14Prepared(scale int) {
 				if err != nil {
 					panic(err)
 				}
-				if _, err := p.EvalGraph(query.Options{Minimize: true}); err != nil {
+				if _, err := p.EvalGraph(nil); err != nil {
 					panic(err)
 				}
 			}

@@ -12,8 +12,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/pathexpr"
-	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
@@ -45,17 +43,17 @@ func main() {
 
 	// --- Restructuring (§3). First, the paper's example: correct the
 	// "egregious error in the Bacall edge label".
-	fixed := db.RelabelWhere(pathexpr.ExactPred{L: ssd.Str("Bacal")}, ssd.Str("Bacall"))
+	fixed := exec(db, `unql: relabel "Bacal" to "Bacall"`)
 	fmt.Println("\nafter fixing Bacal → Bacall:")
 	fmt.Println("  equal to corrected figure:", fixed.Equal(core.FromGraph(workload.Fig1(false))))
 
 	// Collapse the Credit indirection so both cast forms align one level.
-	collapsed := fixed.CollapseEdges(pathexpr.ExactPred{L: ssd.Sym("Credit")})
+	collapsed := exec(fixed, "unql: collapse Credit")
 	actors := countRows(collapsed, "path: Entry.Movie.Cast.Actors._")
 	fmt.Printf("  after collapsing Credit: Cast.Actors reaches %d name(s)\n", actors)
 
 	// Delete the cross-entry links entirely.
-	trimmed := collapsed.DeleteEdges(pathexpr.ExactPred{L: ssd.Sym("References")})
+	trimmed := exec(collapsed, "unql: delete References")
 	refs := countRows(trimmed, "path: _*.References")
 	fmt.Printf("  after deleting References: %d left\n", refs)
 
@@ -94,8 +92,8 @@ func countRows(db *core.Database, src string) int {
 	return n
 }
 
-// exec prepares a select-from-where query and runs it to its result
-// database.
+// exec prepares a select-from-where query or a `unql:` restructuring and
+// runs it to its result database.
 func exec(db *core.Database, src string) *core.Database {
 	s, err := db.Prepare(src)
 	if err != nil {

@@ -21,9 +21,9 @@
 // A Database is a multi-version handle: readers always see one immutable
 // published snapshot (graph plus its lazily built indexes and DataGuide),
 // while Begin/Commit install new snapshots atomically under a single-writer
-// lock. The legacy wholesale transformations (Transform, RelabelWhere, …)
-// still return fresh handles with fresh caches, so no entry point can ever
-// serve derived structures computed for a different graph version.
+// lock. Restructuring (`unql:` statements run with Stmt.Exec) returns a
+// fresh handle with fresh caches, so no entry point can ever serve derived
+// structures computed for a different graph version.
 package core
 
 import (
@@ -48,7 +48,6 @@ import (
 	"repro/internal/ssd"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/unql"
 )
 
 // Database is a handle over one semistructured graph. Handles are safe for
@@ -348,13 +347,27 @@ func (db *Database) commitLocked(b *mutate.Batch) (uint64, error) {
 			return 0, err
 		}
 	}
-	ns := &snapshot{g: g2}
-	// Incremental maintenance: derive the new snapshot's structures from
-	// whatever the old one had already built. Structures it never built
-	// stay nil and are rebuilt lazily on first use.
-	old.mu.Lock()
-	labelIx, valueIx, guide, st := old.labelIx, old.valueIx, old.guide, old.stats
-	old.mu.Unlock()
+	db.snap.Store(old.successor(g2, res))
+	db.invalidateStmtPlans()
+	db.advanceSeq(1)
+	obsCommitDur.Observe(time.Since(start))
+	obsCommits.Inc()
+	return db.replSeq.Load(), nil
+}
+
+// successor derives the snapshot that follows a batch applied to s's graph:
+// g is the new graph and res the batch's apply result. Every derived
+// structure s had already built is maintained incrementally from the delta;
+// structures s never built stay nil and are rebuilt lazily on first use, as
+// is the DataGuide when the root changed or ApplyDelta cannot extend it
+// (deletes in the accessible region). Commits and recovery replay both
+// derive successors here, so a replayed log yields the structures the
+// original commits published.
+func (s *snapshot) successor(g *ssd.Graph, res mutate.Result) *snapshot {
+	s.mu.Lock()
+	labelIx, valueIx, guide, st := s.labelIx, s.valueIx, s.guide, s.stats
+	s.mu.Unlock()
+	ns := &snapshot{g: g}
 	if labelIx != nil {
 		ns.labelIx = labelIx.Apply(res.Delta)
 	}
@@ -365,17 +378,11 @@ func (db *Database) commitLocked(b *mutate.Batch) (uint64, error) {
 		ns.stats = st.Apply(res.Delta)
 	}
 	if guide != nil && !res.RootChanged {
-		// Deletes touching the accessible region fall back to a lazy rebuild.
-		if ng, ok := guide.ApplyDelta(g2, res.Delta, 0); ok {
+		if ng, ok := guide.ApplyDelta(g, res.Delta, 0); ok {
 			ns.guide = ng
 		}
 	}
-	db.snap.Store(ns)
-	db.invalidateStmtPlans()
-	db.advanceSeq(1)
-	obsCommitDur.Observe(time.Since(start))
-	obsCommits.Inc()
-	return db.replSeq.Load(), nil
+	return ns
 }
 
 // CloseWAL closes a durable database (OpenPath): it closes the write-ahead
@@ -561,35 +568,6 @@ func (db *Database) InferSchema() *schema.Schema { return schema.Infer(db.snapsh
 
 // Conforms checks conformance to a schema by simulation.
 func (db *Database) Conforms(s *schema.Schema) bool { return s.Conforms(db.snapshot().g) }
-
-// ---------------------------------------------------------------------------
-// Restructuring (§3)
-//
-// The wholesale transformations predate the mutation subsystem. Each clones
-// the world and returns a NEW handle whose caches start empty, so stale
-// derived structures are impossible — but nothing is logged: a WAL open on
-// the receiver does not describe the returned database.
-
-// Transform applies a structural-recursion rewriter and returns the new
-// database.
-func (db *Database) Transform(f unql.Rewriter) *Database {
-	return FromGraph(unql.GExt(db.snapshot().g, f))
-}
-
-// RelabelWhere renames matching edge labels.
-func (db *Database) RelabelWhere(pred pathexpr.Pred, to ssd.Label) *Database {
-	return FromGraph(unql.RelabelWhere(db.snapshot().g, pred, to))
-}
-
-// DeleteEdges removes matching edges.
-func (db *Database) DeleteEdges(pred pathexpr.Pred) *Database {
-	return FromGraph(unql.DeleteEdges(db.snapshot().g, pred))
-}
-
-// CollapseEdges short-circuits matching edges.
-func (db *Database) CollapseEdges(pred pathexpr.Pred) *Database {
-	return FromGraph(unql.CollapseEdges(db.snapshot().g, pred))
-}
 
 // ---------------------------------------------------------------------------
 // Exchange (§1.2) and equality (§2)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/pathexpr"
 	"repro/internal/schema"
 	"repro/internal/ssd"
 	"repro/internal/unql"
@@ -135,16 +134,16 @@ func TestSchemaFlow(t *testing.T) {
 func TestRestructuringFlow(t *testing.T) {
 	bad := FromGraph(workload.Fig1(true))
 	good := fig1DB(t)
-	fixed := bad.RelabelWhere(pathexpr.ExactPred{L: ssd.Str("Bacal")}, ssd.Str("Bacall"))
+	fixed := execUnQL(t, bad, `relabel "Bacal" to "Bacall"`)
 	if !fixed.Equal(good) {
 		t.Error("Bacall fix failed")
 	}
-	noRefs := good.DeleteEdges(pathexpr.ExactPred{L: ssd.Sym("References")})
+	noRefs := execUnQL(t, good, "delete References")
 	refs := pathIDs(t, noRefs, "_*.References")
 	if len(refs) != 0 {
 		t.Error("References survived deletion")
 	}
-	collapsed := good.CollapseEdges(pathexpr.ExactPred{L: ssd.Sym("Credit")})
+	collapsed := execUnQL(t, good, "collapse Credit")
 	hits := pathIDs(t, collapsed, "Entry.Movie.Cast.Actors")
 	if len(hits) != 1 {
 		t.Errorf("collapsed Actors hits = %d, want 1", len(hits))
@@ -186,13 +185,14 @@ func TestDescribe(t *testing.T) {
 
 func TestTransformCustom(t *testing.T) {
 	db := fig1DB(t)
-	// Rename all Title edges to TITLE via the raw Transform hook.
-	out := db.Transform(func(l ssd.Label, _, _ ssd.NodeID, _ *ssd.Graph) unql.Action {
+	// Rename all Title edges to TITLE via a raw structural-recursion
+	// rewriter over the snapshot's graph.
+	out := FromGraph(unql.GExt(db.Graph(), func(l ssd.Label, _, _ ssd.NodeID, _ *ssd.Graph) unql.Action {
 		if s, ok := l.Symbol(); ok && s == "Title" {
 			return unql.RelabelTo(ssd.Sym("TITLE"))
 		}
 		return unql.Keep(l)
-	})
+	}))
 	hits := pathIDs(t, out, "_*.TITLE")
 	if len(hits) != 3 {
 		t.Errorf("TITLE edges = %d, want 3", len(hits))

@@ -233,34 +233,16 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 
 	// Replay the tail in place, maintaining the restored derived structures
 	// incrementally so recovery hands back a query-ready snapshot.
-	g := snap.Graph
-	labelIx, valueIx, guide, st := snap.Labels, snap.Values, snap.Guide, snap.Stats
+	cur := &snapshot{g: snap.Graph, labelIx: snap.Labels, valueIx: snap.Values, guide: snap.Guide, stats: snap.Stats}
 	replayed := 0
 	if w.Batches() > 0 {
 		if err := w.Replay(func(b *mutate.Batch) error {
-			res, err := mutate.ApplyInPlace(g, b)
+			res, err := mutate.ApplyInPlace(cur.g, b)
 			if err != nil {
 				return err
 			}
 			replayed++
-			if labelIx != nil {
-				labelIx = labelIx.Apply(res.Delta)
-			}
-			if valueIx != nil {
-				valueIx = valueIx.Apply(res.Delta)
-			}
-			if st != nil {
-				st = st.Apply(res.Delta)
-			}
-			if guide != nil {
-				if res.RootChanged {
-					guide = nil
-				} else if ng, ok := guide.ApplyDelta(g, res.Delta, 0); ok {
-					guide = ng
-				} else {
-					guide = nil // deletes in the accessible region: rebuild lazily
-				}
-			}
+			cur = cur.successor(cur.g, res)
 			return nil
 		}); err != nil {
 			w.Close()
@@ -275,7 +257,7 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 	db.replSeq.Store(snap.CommitSeq + uint64(replayed))
 	obsCommitSeq.Set(int64(snap.CommitSeq + uint64(replayed)))
 	db.snapSeq.Store(loaded.seq)
-	db.snap.Store(&snapshot{g: g, labelIx: labelIx, valueIx: valueIx, guide: guide, stats: st})
+	db.snap.Store(cur)
 	db.wal = w
 	db.walRO.Store(w)
 	opened = true

@@ -27,6 +27,21 @@ func execQuery(db *Database, src string) (*Database, error) {
 	return s.Exec(context.Background())
 }
 
+// execUnQL prepares cmd as a `unql:` restructuring statement and executes
+// it to the restructured database.
+func execUnQL(t testing.TB, db *Database, cmd string) *Database {
+	t.Helper()
+	s, err := db.PrepareCached("unql: " + cmd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Exec(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // pathNodes runs src as a `path:` statement from the root and returns the
 // matching nodes, sorted.
 func pathNodes(db *Database, src string) ([]ssd.NodeID, error) {

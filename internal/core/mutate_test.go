@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bisim"
 	"repro/internal/mutate"
-	"repro/internal/pathexpr"
 	"repro/internal/query"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -85,17 +84,17 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 		t.Fatal("DataGuide not refreshed after mutation")
 	}
 
-	// Legacy wholesale edits return fresh handles whose caches restart.
-	db2 := db.DeleteEdges(pathexpr.ExactPred{L: ssd.Sym("Title")})
+	// Wholesale restructuring returns a fresh handle whose caches restart.
+	db2 := execUnQL(t, db, "delete Title")
 	if got := canonQuery(t, db2, titles); got != "{}" {
-		t.Fatalf("DeleteEdges result still has titles: %s", got)
+		t.Fatalf("`unql: delete Title` result still has titles: %s", got)
 	}
 	if hits := db2.FindString("Casablanca"); len(hits) != 0 {
 		t.Fatalf("fresh handle served stale value index: %v", hits)
 	}
 	// And the receiver is untouched.
 	if got := canonQuery(t, db, titles); got != after {
-		t.Fatal("legacy transformation mutated the receiver")
+		t.Fatal("restructuring mutated the receiver")
 	}
 }
 

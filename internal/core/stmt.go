@@ -557,16 +557,14 @@ func (s *Stmt) queryTrace(ctx context.Context, tr *QueryTrace, args []Param) (*R
 			tr.PlanPooled = pooled
 			et = new(query.ExecTrace)
 		}
-		var cur *query.Cursor
 		if len(workers) > 0 {
 			obsParallelQueries.Inc()
 			if tr != nil {
 				tr.Parallel = true
 			}
-			cur, err = p.CursorParallelTrace(ctx, vals, workers, morselSize, et)
-		} else {
-			cur, err = p.CursorTrace(ctx, vals, et)
 		}
+		// With no workers this is the serial cursor, traced when et is set.
+		cur, err := p.CursorParallelTrace(ctx, vals, workers, morselSize, et)
 		if err != nil {
 			s.checkinPlan(snap, p)
 			s.checkinPlans(snap, workers)
@@ -602,9 +600,9 @@ func (s *Stmt) queryTrace(ctx context.Context, tr *QueryTrace, args []Param) (*R
 
 // Exec executes the statement to a whole result database: the instantiated
 // select template for queries, the restructured graph for transforms.
-// Path and datalog statements have no graph result; use Query. Like the
-// Transform family, the result is a fresh handle with fresh caches and
-// nothing is logged to the receiver's WAL.
+// Path and datalog statements have no graph result; use Query. The result
+// is a fresh handle with fresh caches, and nothing is logged to the
+// receiver's WAL.
 func (s *Stmt) Exec(ctx context.Context, args ...Param) (*Database, error) {
 	start := time.Now()
 	res, err := s.execInner(ctx, args)
@@ -628,7 +626,7 @@ func (s *Stmt) execInner(ctx context.Context, args []Param) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.EvalGraphCtx(ctx, query.Options{Minimize: true, Params: vals})
+		res, err := p.EvalGraphCtx(ctx, vals)
 		s.checkinPlan(snap, p)
 		if err != nil {
 			return nil, err
@@ -697,6 +695,7 @@ type pathBackend struct {
 	au     *pathexpr.Automaton
 	pooled bool
 	node   ssd.NodeID
+	nanos  int64 // traversal time, accumulated only when traced
 }
 
 type datalogBackend struct {
@@ -732,12 +731,13 @@ func (r *Rows) Next() bool {
 		}
 		return false
 	case r.pb != nil:
-		n, ok := r.pb.trav.Next()
-		r.pb.node = n
-		if ok {
-			r.n++
+		if r.trace != nil {
+			t0 := time.Now()
+			ok := r.nextPath()
+			r.pb.nanos += int64(time.Since(t0))
+			return ok
 		}
-		return ok
+		return r.nextPath()
 	default:
 		b := r.db2
 		for b.ri < len(b.names) {
@@ -754,6 +754,15 @@ func (r *Rows) Next() bool {
 		}
 		return false
 	}
+}
+
+func (r *Rows) nextPath() bool {
+	n, ok := r.pb.trav.Next()
+	r.pb.node = n
+	if ok {
+		r.n++
+	}
+	return ok
 }
 
 // Err returns the error that stopped iteration early (context
@@ -924,6 +933,10 @@ func (r *Rows) finish() {
 	if et := r.et; et != nil && r.qb != nil {
 		tr.fillExec(r.qb.plan, et)
 	}
+	if r.pb != nil {
+		// A path statement is one operator: the traversal from the root.
+		tr.Atoms = []AtomTrace{{Op: "path " + r.stmt.pe.String(), Rows: r.n, TimeUS: r.pb.nanos / 1e3}}
+	}
 	if r.pool != nil {
 		st := r.pool.Stats()
 		tr.PoolHits = st.Hits - r.poolStart.Hits
@@ -933,7 +946,14 @@ func (r *Rows) finish() {
 }
 
 // ---------------------------------------------------------------------------
-// The transform mini-language (LangTransform)
+// Restructuring (§3): the transform mini-language (LangTransform)
+//
+// `unql:` statements are the database's one restructuring entry point. Each
+// verb is one of the unql package's structural-recursion rewriters; Exec
+// clones the snapshot's graph through it and returns a NEW handle whose
+// caches start empty. Nothing is logged: a WAL open on the receiver does
+// not describe the returned database. Custom rewriters call unql.GExt on
+// Database.Graph directly.
 
 var transformVerbs = map[string]bool{
 	"relabel": true, "delete": true, "collapse": true, "expand": true,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/pathexpr"
 	"repro/internal/query"
 	"repro/internal/ssd"
+	"repro/internal/unql"
 	"repro/internal/workload"
 )
 
@@ -202,6 +203,39 @@ func TestStmtPath(t *testing.T) {
 	}
 }
 
+// TestStmtPathTraced: a traced path statement records its traversal as one
+// atom whose rows are the rows the statement emitted, so per-operator
+// accounting covers path statements as it covers queries.
+func TestStmtPathTraced(t *testing.T) {
+	db := fig1DB(t)
+	s, err := db.Prepare(`path: Entry.$kind.Title`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr QueryTrace
+	rows, err := s.QueryTraced(context.Background(), &tr, P("kind", ssd.Sym("Movie")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	rows.Close()
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := len(pathIDs(t, db, "Entry.Movie.Title"))
+	if tr.Lang != "path" || tr.Rows != int64(want) {
+		t.Fatalf("trace lang %q rows %d, want path / %d", tr.Lang, tr.Rows, want)
+	}
+	if len(tr.Atoms) != 1 {
+		t.Fatalf("path trace atoms = %+v, want one", tr.Atoms)
+	}
+	a := tr.Atoms[0]
+	if a.Op != "path Entry.$kind.Title" || a.Rows != int64(want) || a.TimeUS < 0 {
+		t.Fatalf("path atom = %+v, want op %q with %d rows", a, "path Entry.$kind.Title", want)
+	}
+}
+
 // TestStmtDatalog: datalog statements stream the materialized tuples.
 func TestStmtDatalog(t *testing.T) {
 	db := fig1DB(t)
@@ -239,8 +273,8 @@ func TestStmtDatalog(t *testing.T) {
 	}
 }
 
-// TestStmtTransform: the unql mini-language restructures like the legacy
-// Transform family, including a parameterized target label.
+// TestStmtTransform: the unql mini-language restructures like the unql
+// package's rewriters, including a parameterized target label.
 func TestStmtTransform(t *testing.T) {
 	db := fig1DB(t)
 	s, err := db.Prepare(`unql: relabel Title to $new`)
@@ -251,9 +285,9 @@ func TestStmtTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := db.RelabelWhere(pathexpr.ExactPred{L: ssd.Sym("Title")}, ssd.Sym("TITLE"))
+	want := FromGraph(unql.RelabelWhere(db.Graph(), pathexpr.ExactPred{L: ssd.Sym("Title")}, ssd.Sym("TITLE")))
 	if !got.Equal(want) {
-		t.Fatal("transform statement differs from RelabelWhere")
+		t.Fatal("transform statement differs from unql.RelabelWhere")
 	}
 	if _, err := s.Query(context.Background(), P("new", ssd.Sym("TITLE"))); err == nil {
 		t.Error("Query on transform statement should error")

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // This file is the read side of WAL replication: a Cursor that tails a log
@@ -44,6 +45,10 @@ var ErrCursorRebound = errors.New("mutate: log truncated or replaced under curso
 // batches are bounded by the serving layer's request caps well below this;
 // a length prefix beyond it is treated as torn bytes, not a frame.
 const maxFrameBytes = 1 << 30
+
+// streamChunkBytes is the payload buffer a stream frame starts with before
+// its bytes prove the length prefix; see ReadFrameFrom.
+const streamChunkBytes = 64 << 10
 
 // Cursor reads batch frames from a WAL file, tolerating a writer appending
 // to it concurrently. Not safe for concurrent use by multiple goroutines.
@@ -193,7 +198,8 @@ func WriteFrameTo(w io.Writer, payload []byte) error {
 
 // ReadFrameFrom reads one frame from r (a replication stream), validating
 // its CRC. io.EOF means a clean end of stream before any frame byte;
-// any mid-frame truncation is io.ErrUnexpectedEOF.
+// any mid-frame truncation is io.ErrUnexpectedEOF. Memory grows with the
+// bytes actually received, not with the claimed length.
 func ReadFrameFrom(r *bufio.Reader) ([]byte, error) {
 	plen, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -209,9 +215,20 @@ func ReadFrameFrom(r *bufio.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, sumBuf[:]); err != nil {
 		return nil, fmt.Errorf("mutate: stream frame CRC: %w", noEOF(err))
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("mutate: stream frame payload: %w", noEOF(err))
+	// Grow the payload as its bytes arrive, at most doubling what has been
+	// received, instead of trusting the length prefix: a hostile or torn
+	// prefix must not make the follower allocate up to maxFrameBytes before
+	// the stream runs dry.
+	payload := make([]byte, 0, min(plen, streamChunkBytes))
+	for uint64(len(payload)) < plen {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(int(plen)-len(payload), len(payload)))
+		}
+		n, err := io.ReadFull(r, payload[len(payload):min(cap(payload), int(plen))])
+		payload = payload[:len(payload)+n]
+		if err != nil {
+			return nil, fmt.Errorf("mutate: stream frame payload: %w", noEOF(err))
+		}
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sumBuf[:]) {
 		return nil, fmt.Errorf("mutate: stream frame fails CRC")

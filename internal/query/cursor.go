@@ -58,12 +58,7 @@ func (p *Plan) paramVals(params map[string]ssd.Label) ([]ssd.Label, error) {
 //
 //ssd:mustclose
 func (p *Plan) Cursor(ctx context.Context, params map[string]ssd.Label) (*Cursor, error) {
-	vals, err := p.paramVals(params)
-	if err != nil {
-		return nil, err
-	}
-	ex := p.exec(ctx, vals)
-	return &Cursor{p: p, regs: &ex.regs, ex: ex}, nil
+	return p.CursorParallelTrace(ctx, params, nil, 0, nil)
 }
 
 // Next advances to the next binding row, returning false when the space is

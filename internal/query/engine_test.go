@@ -103,7 +103,7 @@ func TestEnginesAgree(t *testing.T) {
 				"index+guide": {Label: ix, Guide: guide},
 			}
 			for vn, po := range variants {
-				got, err := EvalOpts(q, g, Options{Minimize: true, Plan: po, Params: c.params})
+				got, err := EvalOpts(q, g, Options{Plan: po, Params: c.params})
 				if err != nil {
 					t.Fatalf("planned/%s: %v", vn, err)
 				}
@@ -140,7 +140,7 @@ func TestEnginesAgreeOnGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("naive %q: %v", src, err)
 		}
-		got, err := EvalOpts(q, g, Options{Minimize: true, Plan: PlanOptions{Label: ix}})
+		got, err := EvalOpts(q, g, Options{Plan: PlanOptions{Label: ix}})
 		if err != nil {
 			t.Fatalf("planned %q: %v", src, err)
 		}

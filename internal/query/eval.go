@@ -39,52 +39,12 @@ func (e Env) clone() Env {
 
 // Options tunes evaluation.
 type Options struct {
-	// MaxRows caps the number of binding tuples (0 = unlimited) as a guard
-	// against runaway cross products.
-	MaxRows int
-	// Minimize applies bisimulation minimization to the result so that the
-	// output is a canonical set value (default true in Eval).
-	Minimize bool
 	// Plan supplies optional index/dataguide structures to the planner.
 	Plan PlanOptions
 	// Params binds values to the query's $parameters, resolved to reserved
 	// plan slots. (The naive reference evaluator has no binding mechanism:
 	// callers substitute values with SubstParams first.)
 	Params map[string]ssd.Label
-	// Parallelism is the number of worker executors for the morsel-driven
-	// parallel scan (0 or 1 = serial). Results are byte-identical to serial
-	// execution; plans with fewer than two atoms always run serially.
-	// Negative values are rejected with an *OptionError.
-	Parallelism int
-	// MorselSize overrides the number of leading-atom rows per parallel
-	// morsel (0 = size chosen by the plan's cost model, falling back to
-	// DefaultMorselSize). Exposed mainly so tests can force many small
-	// morsels. Negative values are rejected with an *OptionError.
-	MorselSize int
-}
-
-// OptionError reports an Options field set to a value outside its domain.
-// Callers distinguish it from evaluation failures with errors.As.
-type OptionError struct {
-	Field string // the Options field name, e.g. "Parallelism"
-	Value int
-}
-
-func (e *OptionError) Error() string {
-	return fmt.Sprintf("query: invalid Options.%s %d (must be >= 0)", e.Field, e.Value)
-}
-
-// validate rejects option values outside their documented domain. Negative
-// Parallelism or MorselSize used to fall through the > comparisons and
-// silently run serially with the default morsel size; now they are errors.
-func (o Options) validate() error {
-	if o.Parallelism < 0 {
-		return &OptionError{Field: "Parallelism", Value: o.Parallelism}
-	}
-	if o.MorselSize < 0 {
-		return &OptionError{Field: "MorselSize", Value: o.MorselSize}
-	}
-	return nil
 }
 
 // Eval evaluates the query over g and returns the result tree (a fresh
@@ -92,7 +52,7 @@ func (o Options) validate() error {
 // canonical form. Evaluation plans the query and runs the iterator executor;
 // see EvalNaive for the reference tree-walking evaluator.
 func Eval(q *Query, g ssd.GraphStore) (*ssd.Graph, error) {
-	return EvalOpts(q, g, Options{Minimize: true})
+	return EvalOpts(q, g, Options{})
 }
 
 // EvalNaive evaluates with the original recursive evaluator — the reference
@@ -111,7 +71,7 @@ func EvalNaive(q *Query, g *ssd.Graph) (*ssd.Graph, error) {
 			return nil, err
 		}
 	}
-	return finishResult(res, Options{Minimize: true})
+	return finishResult(res), nil
 }
 
 // EvalOpts plans the query over any GraphStore and evaluates it with
@@ -121,64 +81,39 @@ func EvalOpts(q *Query, g ssd.GraphStore, opts Options) (*ssd.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.EvalGraph(opts)
+	return p.EvalGraph(opts.Params)
 }
 
-// EvalGraph runs the plan's executor and instantiates the select template
-// for every surviving row. The plan can be reused across calls (compile
-// once, run many).
-func (p *Plan) EvalGraph(opts Options) (*ssd.Graph, error) {
-	return p.EvalGraphCtx(nil, opts)
+// EvalGraph runs the plan's executor with the given $parameter values and
+// instantiates the select template for every surviving row. The plan can be
+// reused across calls (compile once, run many).
+func (p *Plan) EvalGraph(params map[string]ssd.Label) (*ssd.Graph, error) {
+	return p.EvalGraphCtx(nil, params)
 }
 
 // EvalGraphCtx is EvalGraph with cancellation: a cancelled context aborts
-// the pull loop within one row and returns the context's error. Parameter
-// values come from opts.Params. A nil ctx disables the checks. When
-// opts.Parallelism > 1, sibling plans are compiled and the rows stream
-// through the morsel-driven parallel cursor; the result is byte-identical
-// to serial evaluation. (The statement layer avoids the sibling compiles
-// by drawing worker plans from its pool instead.)
-func (p *Plan) EvalGraphCtx(ctx context.Context, opts Options) (*ssd.Graph, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	var cur *Cursor
-	var err error
-	if opts.Parallelism > 1 && len(p.atoms) >= 2 {
-		workers := make([]*Plan, 0, opts.Parallelism)
-		for i := 0; i < opts.Parallelism; i++ {
-			wp, werr := NewPlan(p.q, p.g, p.opts)
-			if werr != nil {
-				return nil, werr
-			}
-			workers = append(workers, wp)
-		}
-		cur, err = p.CursorParallel(ctx, opts.Params, workers, opts.MorselSize)
-	} else {
-		cur, err = p.Cursor(ctx, opts.Params)
-	}
+// the pull loop within one row and returns the context's error. A nil ctx
+// disables the checks. Evaluation is serial; the statement layer fans out
+// through CursorParallel with worker plans drawn from its pool.
+func (p *Plan) EvalGraphCtx(ctx context.Context, params map[string]ssd.Label) (*ssd.Graph, error) {
+	cur, err := p.Cursor(ctx, params)
 	if err != nil {
 		return nil, err
 	}
 	defer cur.Close()
 	res := ssd.New()
 	graftCache := map[ssd.NodeID]ssd.NodeID{}
-	rows := 0
 	var env Env
 	for cur.Next() {
 		cur.EnvInto(&env)
 		if err := instantiate(res, res.Root(), p.q.Select, env, p.g, graftCache); err != nil {
 			return nil, err
 		}
-		rows++
-		if opts.MaxRows > 0 && rows >= opts.MaxRows {
-			break
-		}
 	}
 	if err := cur.Err(); err != nil {
 		return nil, err
 	}
-	return finishResult(res, opts)
+	return finishResult(res), nil
 }
 
 // Rows drives the executor and materializes the surviving binding tuples —
@@ -205,15 +140,13 @@ func (p *Plan) Rows(maxRows int) []Env {
 	return rows
 }
 
-func finishResult(res *ssd.Graph, opts Options) (*ssd.Graph, error) {
+// finishResult turns an instantiated result into its canonical set value.
+// Canonicalize, not just Minimize: node numbering and edge order become
+// value-determined, so engines that enumerate bindings in different orders
+// still produce byte-identical output.
+func finishResult(res *ssd.Graph) *ssd.Graph {
 	res.Dedup()
-	if opts.Minimize {
-		// Canonicalize, not just Minimize: node numbering and edge order
-		// become value-determined, so engines that enumerate bindings in
-		// different orders still produce byte-identical output.
-		res = bisim.Canonicalize(res)
-	}
-	return res, nil
+	return bisim.Canonicalize(res)
 }
 
 // EvalRows evaluates the from/where clauses and returns the surviving

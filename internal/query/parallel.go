@@ -37,23 +37,24 @@ import (
 // stream where the serial engine would have — never as a silent truncation.
 //
 // Adaptive splitting: morsel size is fixed up front (from the cost model's
-// seed estimate via Plan.ParallelHint, or Options.MorselSize), but per-seed
-// fan-out is only an estimate. When a worker observes a morsel producing far
-// more rows per seed than the plan predicted, it hands off the unprocessed
-// seed suffix as a new morsel to an IDLE worker — a rendezvous on an
-// unbuffered channel, so the handoff happens only if another worker is
-// parked waiting for work at that instant — and hands the consumer a
-// continuation channel in its final batch. Order preservation survives
-// because a split never reorders seeds: the suffix morsel's rows are
-// delivered on the continuation channel, which the merge switches to exactly
-// where the original morsel's rows end — the concatenation is the same
-// seed-order row stream, just produced by two workers. Splits chain: a
+// seed estimate via Plan.ParallelHint, or the caller's morselSize), but
+// per-seed fan-out is only an estimate. When a worker observes a morsel
+// producing far more rows per seed than the plan predicted, it hands off
+// the unprocessed seed suffix as a new morsel to an IDLE worker — a
+// rendezvous on an unbuffered channel, so the handoff happens only if
+// another worker is parked waiting for work at that instant — and hands the
+// consumer a continuation channel in its final batch. Order preservation
+// survives because a split never reorders seeds: the suffix morsel's rows
+// are delivered on the continuation channel, which the merge switches to
+// exactly where the original morsel's rows end — the concatenation is the
+// same seed-order row stream, just produced by two workers. Splits chain: a
 // suffix morsel may itself split again.
 
 const (
 	// DefaultMorselSize is the number of leading-atom seed rows per morsel
-	// when Options.MorselSize is zero. Small enough to load-balance skewed
-	// per-seed work, large enough to amortize channel traffic.
+	// when neither the caller nor the cost model picks one. Small enough to
+	// load-balance skewed per-seed work, large enough to amortize channel
+	// traffic.
 	DefaultMorselSize = 128
 
 	// parBatchRows caps the rows buffered into one merge batch.
@@ -231,7 +232,8 @@ func (p *Plan) CursorParallel(ctx context.Context, params map[string]ssd.Label, 
 // time summed across workers, plus the pool shape — workers, morsel size,
 // morsels executed, adaptive splits and misses, and consumer merge stalls.
 // The trace is complete only after the cursor is closed (Close waits for
-// the pool to quiesce). A nil tr degrades to CursorParallel exactly.
+// the pool to quiesce). A nil tr degrades to CursorParallel exactly; with
+// no workers it records the serial executor's per-atom statistics.
 //
 //ssd:mustclose
 func (p *Plan) CursorParallelTrace(ctx context.Context, params map[string]ssd.Label, workers []*Plan, morselSize int, tr *ExecTrace) (*Cursor, error) {

@@ -2,7 +2,7 @@ package query
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,8 +13,8 @@ import (
 )
 
 // TestParallelMatchesSerialByteIdentical is the determinism acceptance
-// property: the morsel-driven parallel engine must produce byte-identical
-// canonicalized output to the serial engine on the whole engine cross-check
+// property: the morsel-driven parallel cursor must yield byte-identical rows,
+// in the same order, as the serial cursor on the whole engine cross-check
 // suite, at several worker counts and with deliberately tiny morsels (so
 // every query actually exercises the partition/merge machinery).
 func TestParallelMatchesSerialByteIdentical(t *testing.T) {
@@ -24,25 +24,64 @@ func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 			q := MustParse(c.query)
 			ix := index.BuildLabelIndex(g)
 			for _, po := range []PlanOptions{{}, {Label: ix}} {
-				serial, err := EvalOpts(q, g, Options{Minimize: true, Plan: po, Params: c.params})
-				if err != nil {
-					t.Fatalf("serial: %v", err)
-				}
+				serial := serialRows(t, q, g, po, c.params)
 				for _, workers := range []int{2, 4} {
-					par, err := EvalOpts(q, g, Options{
-						Minimize: true, Plan: po, Params: c.params,
-						Parallelism: workers, MorselSize: 2,
-					})
-					if err != nil {
-						t.Fatalf("parallel/%d: %v", workers, err)
-					}
-					if gs, ws := ssd.FormatRoot(par), ssd.FormatRoot(serial); gs != ws {
-						t.Errorf("parallel/%d differs:\n got: %s\nwant: %s", workers, gs, ws)
+					p := mustPlan(t, q, g, po)
+					par := rowStream(t, p, openParallel(t, p, nil, c.params, workers, 2))
+					if par != serial {
+						t.Errorf("parallel/%d differs:\n got: %s\nwant: %s", workers, par, serial)
 					}
 				}
 			}
 		})
 	}
+}
+
+// mustPlan compiles q over g or fails the test.
+func mustPlan(t *testing.T, q *Query, g ssd.GraphStore, po PlanOptions) *Plan {
+	t.Helper()
+	p, err := NewPlan(q, g, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// serialRows runs q through its own freshly compiled serial cursor and
+// renders the row stream (see rowStream).
+func serialRows(t *testing.T, q *Query, g ssd.GraphStore, po PlanOptions, params map[string]ssd.Label) string {
+	t.Helper()
+	p := mustPlan(t, q, g, po)
+	cur, err := p.Cursor(nil, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rowStream(t, p, cur)
+}
+
+// rowStream drains and closes cur, rendering every row's tree, label and
+// path slots on one line, so two executions compare byte for byte —
+// row order included.
+func rowStream(t *testing.T, p *Plan, cur *Cursor) string {
+	t.Helper()
+	defer cur.Close()
+	var b strings.Builder
+	for cur.Next() {
+		for i := range p.treeName {
+			fmt.Fprintf(&b, "%d ", cur.Tree(i))
+		}
+		for i := range p.labelName {
+			fmt.Fprintf(&b, "%s ", cur.Label(i))
+		}
+		for i := range p.pathName {
+			fmt.Fprintf(&b, "%v ", cur.Path(i))
+		}
+		b.WriteByte('\n')
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // forceSplits lowers the adaptive-split thresholds so that every morsel
@@ -59,27 +98,19 @@ func forceSplits() (restore func()) {
 // TestParallelAdaptiveSplitByteIdentical is the acceptance property for
 // runtime morsel splitting: with the split thresholds floored so workers
 // split after every seed (maximally chained continuations), the merged
-// stream must still be byte-identical to the serial engine across the whole
-// engine cross-check corpus.
+// row stream must still be byte-identical to the serial engine's across the
+// whole engine cross-check corpus.
 func TestParallelAdaptiveSplitByteIdentical(t *testing.T) {
 	defer forceSplits()()
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) {
 			g := caseGraph(t, c)
 			q := MustParse(c.query)
-			serial, err := EvalOpts(q, g, Options{Minimize: true, Params: c.params})
-			if err != nil {
-				t.Fatalf("serial: %v", err)
-			}
-			par, err := EvalOpts(q, g, Options{
-				Minimize: true, Params: c.params,
-				Parallelism: 3, MorselSize: 4,
-			})
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
-			}
-			if gs, ws := ssd.FormatRoot(par), ssd.FormatRoot(serial); gs != ws {
-				t.Errorf("split parallel differs:\n got: %s\nwant: %s", gs, ws)
+			serial := serialRows(t, q, g, PlanOptions{}, c.params)
+			p := mustPlan(t, q, g, PlanOptions{})
+			par := rowStream(t, p, openParallel(t, p, nil, c.params, 3, 4))
+			if par != serial {
+				t.Errorf("split parallel differs:\n got: %s\nwant: %s", par, serial)
 			}
 		})
 	}
@@ -576,49 +607,6 @@ func TestParallelFallbacks(t *testing.T) {
 	}
 	if n == 0 || cur.Err() != nil {
 		t.Fatalf("fallback cursor: %d rows, err %v", n, cur.Err())
-	}
-}
-
-// TestOptionsRejectNegatives is the regression test for negative
-// Options.Parallelism / Options.MorselSize silently falling through the
-// "> 1" / "> 0" comparisons and running serially with default morsels: both
-// are now typed *OptionError failures, at both evaluation entry points.
-func TestOptionsRejectNegatives(t *testing.T) {
-	g := workload.Fig1(false)
-	q := MustParse(`select T from DB.Entry.Movie M, M.Title T`)
-	cases := []struct {
-		opts  Options
-		field string
-		value int
-	}{
-		{Options{Parallelism: -1}, "Parallelism", -1},
-		{Options{MorselSize: -8}, "MorselSize", -8},
-		{Options{Parallelism: -3, MorselSize: -8}, "Parallelism", -3}, // first failure wins
-	}
-	for _, c := range cases {
-		for name, eval := range map[string]func() (*ssd.Graph, error){
-			"EvalOpts": func() (*ssd.Graph, error) { return EvalOpts(q, g, c.opts) },
-			"EvalGraphCtx": func() (*ssd.Graph, error) {
-				p, err := NewPlan(q, g, PlanOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p.EvalGraphCtx(context.Background(), c.opts)
-			},
-		} {
-			_, err := eval()
-			var oe *OptionError
-			if !errors.As(err, &oe) {
-				t.Fatalf("%s %+v: err = %v, want *OptionError", name, c.opts, err)
-			}
-			if oe.Field != c.field || oe.Value != c.value {
-				t.Errorf("%s %+v: got {%s %d}, want {%s %d}", name, c.opts, oe.Field, oe.Value, c.field, c.value)
-			}
-		}
-	}
-	// Zero stays valid: it means "pick defaults", not an error.
-	if _, err := EvalOpts(q, g, Options{Minimize: true}); err != nil {
-		t.Fatalf("zero options rejected: %v", err)
 	}
 }
 

@@ -136,6 +136,11 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-SSD-From", fmt.Sprint(from))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	// Flush the headers now: the follower counts as connected once its
+	// request returns, which must not wait for the leader's next commit.
+	if flusher != nil {
+		flusher.Flush()
+	}
 
 	pos := from // global sequence of the next frame to ship
 	for {

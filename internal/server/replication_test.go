@@ -207,6 +207,42 @@ func TestReplicationConvergence(t *testing.T) {
 	}
 }
 
+// TestFollowerConnectedBeforeFirstCommit: a follower of an idle leader (no
+// commit yet) reports its stream connected, through Connected and the
+// /healthz repl_connected field, without waiting for a first frame.
+func TestFollowerConnectedBeforeFirstCommit(t *testing.T) {
+	leader := startLeader(t, t.TempDir())
+	defer leader.close(t)
+	f := startFollower(t, t.TempDir(), leader.URL(), DefaultReplWait)
+	defer f.close(t)
+
+	deadline := time.Now().Add(2 * time.Second)
+	for !f.fol.Connected() {
+		if time.Now().After(deadline) {
+			t.Fatal("follower of an idle leader not connected within 2s")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var h struct {
+		Connected bool   `json:"repl_connected"`
+		CommitSeq uint64 `json:"commit_seq"`
+	}
+	resp, err := http.Get(f.URL() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if !h.Connected || h.CommitSeq != 0 {
+		t.Fatalf("follower healthz = %+v, want connected at seq 0", h)
+	}
+	if seq := leader.db.CommitSeq(); seq != 0 {
+		t.Fatalf("leader committed (seq %d); the test needs an idle leader", seq)
+	}
+}
+
 // TestFollowerRejectsWrites: mutations and checkpoints on a replica answer
 // 403 naming the leader — never a silent local fork.
 func TestFollowerRejectsWrites(t *testing.T) {

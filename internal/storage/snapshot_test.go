@@ -14,7 +14,7 @@ import (
 	"repro/internal/stats"
 )
 
-func snapGraph(t *testing.T) *ssd.Graph {
+func snapGraph(t testing.TB) *ssd.Graph {
 	t.Helper()
 	g, err := ssd.Parse(`{movie: {title: "Casablanca", year: 1942, cast: {actor: "Bogart", actor: "Bergman"}},
 	                      movie: {title: "Sleeper", year: 1973},

@@ -163,19 +163,19 @@ func DefaultSkewConfig(entries int) SkewConfig {
 }
 
 // Skewed generates a database whose label cardinalities are deliberately
-// lopsided, so that a statistics-fed planner orders atoms differently from
-// the structural heuristic. Every movie has one Title, a handful of Tag
-// values drawn from a tiny popular set (with a rare "needle" value every
-// NeedleEvery-th movie), and a wide Reviews subtree of integer Scores:
+// lopsided, so that only a statistics-fed planner finds the cheap atom
+// order. Every movie has one Title, a handful of Tag values drawn from a
+// tiny popular set (with a rare "needle" value every NeedleEvery-th movie),
+// and a wide Reviews subtree of integer Scores:
 //
 //	root –Entry→ e –Movie→ m
 //	m –Title→ t → "..."            (1 per movie)
 //	m –Tag→ x → "popular"|"needle" (TagsPerMovie per movie, needle rare)
 //	m –Reviews→ r –Score→ s → int  (ReviewsPerMovie per movie)
 //
-// The heuristic planner sees Tag and Score atoms as structurally similar;
-// the statistics know `Tag = "needle"` matches almost nothing while
-// `Score > 0` matches everything.
+// Structurally the Tag and Score atoms look alike; the statistics know
+// `Tag = "needle"` matches almost nothing while `Score > 0` matches
+// everything.
 func Skewed(cfg SkewConfig) *ssd.Graph {
 	if cfg.TagsPerMovie < 1 {
 		cfg.TagsPerMovie = 1
